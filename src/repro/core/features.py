@@ -223,46 +223,64 @@ class OrientationFeatureExtractor:
             "directivity": slice(stats_end, self.n_features),
         }
 
-    def _validated_channels(self, audio: DenoisedAudio) -> np.ndarray:
-        return _validated_channels(audio, self.array, self.max_lag)
+    def correlate(self, audio: DenoisedAudio) -> np.ndarray:
+        """Pairwise GCC windows ``(n_pairs, window)`` of one utterance.
 
-    def extract(self, audio: DenoisedAudio) -> np.ndarray:
-        """Feature vector for one denoised utterance."""
+        The decision pipeline correlates each scored utterance once here
+        and hands the matrix to both :meth:`array_cues` and the
+        orientation features.
+        """
+        plan = plan_for(self.array)
+        channels = _validated_channels(audio, self.array, plan.max_lag)
+        with span("features.gcc"):
+            return pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+
+    def extract(self, audio: DenoisedAudio, gcc: np.ndarray | None = None) -> np.ndarray:
+        """Feature vector for one denoised utterance.
+
+        ``gcc`` is the utterance's pairwise GCC matrix (:meth:`correlate`)
+        when the caller already holds it; it is computed here otherwise.
+        """
         with span("features.extract"):
-            plan = plan_for(self.array)
-            channels = _validated_channels(audio, self.array, plan.max_lag)
-            with span("features.gcc"):
-                gcc = pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+            if gcc is None:
+                gcc = self.correlate(audio)
             return self._finalize(audio, gcc)
 
-    def array_cues(self, audio: DenoisedAudio) -> dict:
+    def array_cues(self, audio: DenoisedAudio, gcc: np.ndarray | None = None) -> dict:
         """Multi-channel liveness-confidence cues for one utterance.
 
         Returns ``{"tdoa_coherence", "directivity_consistency"}`` — the
         array-side half of the hardened fusion decision
-        (:class:`repro.core.liveness.FusedLivenessDetector`).  Computed
-        from the same GCC pass the orientation features use.
+        (:class:`repro.core.liveness.FusedLivenessDetector`).  ``gcc`` is
+        the utterance's pairwise GCC matrix; the decision pipeline passes
+        the one the orientation features then reuse, and it is computed
+        here when omitted.
         """
         plan = plan_for(self.array)
-        channels = _validated_channels(audio, self.array, plan.max_lag)
-        gcc = pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+        if gcc is None:
+            gcc = self.correlate(audio)
         return {
             "tdoa_coherence": tdoa_coherence(gcc, plan.pair_list, plan.max_lag),
             "directivity_consistency": directivity_consistency(audio),
         }
 
     def extract_masked(
-        self, audio: DenoisedAudio, healthy_channels: list[int] | tuple[int, ...]
+        self,
+        audio: DenoisedAudio,
+        healthy_channels: list[int] | tuple[int, ...],
+        gcc: np.ndarray | None = None,
     ) -> np.ndarray:
         """Feature vector computed from the surviving microphone pairs.
 
-        The degraded-hardware path: correlations are computed only for
-        pairs whose *both* channels are in ``healthy_channels``; dead
-        pairs contribute a zero correlation window and a zero TDoA, so
-        the vector keeps the full trained dimensionality while carrying
-        no corrupted evidence.  The pooled GCC statistics summarize the
-        surviving rows only.  With every channel healthy this is
-        bit-identical to :meth:`extract`.
+        The degraded-hardware path: only pairs whose *both* channels are
+        in ``healthy_channels`` keep their correlation window; dead pairs
+        contribute a zero window and a zero TDoA, so the vector keeps the
+        full trained dimensionality while carrying no corrupted evidence.
+        The pooled GCC statistics summarize the surviving rows only.
+        ``gcc`` is the utterance's full pairwise GCC matrix, as for
+        :meth:`extract`; its rows are independent, so zeroing the dead
+        ones equals correlating the surviving pairs alone.  With every
+        channel healthy this is bit-identical to :meth:`extract`.
         """
         healthy = sorted({int(c) for c in healthy_channels})
         for c in healthy:
@@ -271,19 +289,15 @@ class OrientationFeatureExtractor:
         if len(healthy) < 2:
             raise ValueError("need at least two healthy channels for correlation")
         with span("features.extract_masked"):
-            plan = plan_for(self.array)
-            channels = _validated_channels(audio, self.array, plan.max_lag)
-            pairs = plan.pair_list
             alive = set(healthy)
-            alive_rows = [r for r, (i, j) in enumerate(pairs) if i in alive and j in alive]
+            alive_rows = [r for r, (i, j) in enumerate(self.pairs) if i in alive and j in alive]
             if not alive_rows:
                 raise ValueError("no surviving microphone pair")
-            gcc = np.zeros((len(pairs), plan.window), dtype=channels.dtype)
-            with span("features.gcc", n_pairs=len(alive_rows)):
-                gcc[alive_rows] = pairwise_gcc(
-                    channels, [pairs[r] for r in alive_rows], plan.max_lag
-                )
-            return self._finalize(audio, gcc, alive_rows=alive_rows)
+            if gcc is None:
+                gcc = self.correlate(audio)
+            masked = np.zeros_like(gcc)
+            masked[alive_rows] = gcc[alive_rows]
+            return self._finalize(audio, masked, alive_rows=alive_rows)
 
     def _finalize(
         self,
@@ -330,21 +344,13 @@ class OrientationFeatureExtractor:
     def extract_batch(self, audios: list[DenoisedAudio]) -> np.ndarray:
         """Feature matrix ``(n_utterances, n_features)``.
 
-        The per-pair correlations of the whole batch are computed in one
-        stacked FFT (:func:`repro.dsp.gcc.pairwise_gcc_batch`), which is
-        bit-identical to — and substantially faster than — extracting
-        each utterance alone.
+        Every row is byte-identical to :meth:`extract` on that utterance
+        alone.
         """
         if not audios:
             raise ValueError("no utterances given")
         with span("features.extract_batch", n=len(audios)):
-            plan = plan_for(self.array)
-            batch = [_validated_channels(a, self.array, plan.max_lag) for a in audios]
-            with span("features.gcc", n=len(audios)):
-                gccs = pairwise_gcc_batch(batch, plan.pair_list, plan.max_lag)
-            return np.stack(
-                [self._finalize(a, gcc) for a, gcc in zip(audios, gccs)]
-            )
+            return np.stack([self._finalize(a, self.correlate(a)) for a in audios])
 
 
 @dataclass(frozen=True)
@@ -382,7 +388,7 @@ class GccOnlyFeatureExtractor:
         return np.concatenate([gcc.ravel(), tdoas]).astype(resolve_dtype(None), copy=False)
 
     def extract_batch(self, audios: list[DenoisedAudio]) -> np.ndarray:
-        """Feature matrix ``(n_utterances, n_features)`` via one stacked FFT."""
+        """Feature matrix ``(n_utterances, n_features)`` via one batched GCC call."""
         if not audios:
             raise ValueError("no utterances given")
         plan = plan_for(self.array)

@@ -354,12 +354,15 @@ class FusedLivenessDetector:
         cues = self.cue_scores(waveforms, sample_rate)
         return (1.0 - cue_share) * net + cue_share * cues
 
-    def fused_scores(self, audios: list, extractor=None) -> np.ndarray:
+    def fused_scores(self, audios: list, extractor=None, gccs=None) -> np.ndarray:
         """Fused scores over :class:`~repro.core.preprocessing.DenoisedAudio`.
 
         With an :class:`~repro.core.features.OrientationFeatureExtractor`
         the array-side cues join the blend (the four-cue decision);
-        without one this is the single-channel path.
+        without one this is the single-channel path.  ``gccs`` carries
+        each utterance's pairwise GCC matrix when the caller already
+        computed it (the decision pipeline reuses it for the orientation
+        features); the extractor computes them otherwise.
         """
         if not audios:
             return np.zeros(0)
@@ -373,10 +376,12 @@ class FusedLivenessDetector:
         # TDoA coherence carries more weight than directivity: the HLBR
         # window is voice-dependent (deep voices land low), while cycle
         # consistency is what exposes the EQ-compensated cabinet.
+        if gccs is None:
+            gccs = [None] * len(audios)
         array_cues = np.asarray(
             [
                 0.7 * cue["tdoa_coherence"] + 0.3 * cue["directivity_consistency"]
-                for cue in (extractor.array_cues(a) for a in audios)
+                for cue in (extractor.array_cues(a, gcc) for a, gcc in zip(audios, gccs))
             ],
             dtype=float,
         )

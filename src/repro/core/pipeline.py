@@ -10,17 +10,19 @@ detector and the orientation detector into a single
 4. reject ("non-facing") if the facing probability is below threshold;
 5. otherwise accept — only then would audio go to the cloud.
 
-``evaluate_batch`` runs the same gate over many captures at once,
-computing every capture's pairwise correlations in one stacked FFT; its
-decisions carry the same scores (bit-identical) as the one-at-a-time
-path, plus per-stage batch timings.
+``evaluate`` is a batch of one: both it and ``evaluate_batch`` run one
+staged core, so a capture's decision is byte-identical whichever entry
+point, and whatever batch, it went through.  Each scored utterance is
+correlated once (its pairwise GCC-PHAT matrix, Eq. 5-6), and that matrix
+feeds both the fused detector's array cues and the orientation
+features.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,39 +199,62 @@ class HeadTalkPipeline:
             return "empty-capture"
         return None
 
-    def _degraded_decision(
-        self,
-        detail: str,
-        preprocess_ms: float = 0.0,
-        liveness_score: float = 0.0,
-        liveness_ms: float = 0.0,
-        health: ChannelHealth | None = None,
-    ) -> Decision:
+    def _degraded_decision(self, detail: str) -> Decision:
         """Fail-closed decision for input the gate cannot safely judge."""
         return Decision(
             accepted=False,
             reason=REJECT_DEGRADED_INPUT,
-            liveness_score=liveness_score,
+            liveness_score=0.0,
             facing_probability=0.0,
-            liveness_ms=liveness_ms,
+            liveness_ms=0.0,
             orientation_ms=0.0,
-            preprocess_ms=preprocess_ms,
             degraded=True,
             detail=detail,
-            health=health,
         )
 
-    def _liveness_score(self, audio: DenoisedAudio) -> float:
-        # A fused detector gets the full multi-channel audio so the
-        # array-side cues (TDoA coherence, directivity consistency) join
-        # the blend; the plain detector sees the reference channel only.
-        fused = getattr(self.liveness, "fused_scores", None)
-        if fused is not None:
-            return float(fused([audio], self.extractor)[0])
+    @property
+    def _liveness_reads_gcc(self) -> bool:
+        """Whether liveness scoring takes the array cues, and so the GCC matrix."""
+        return hasattr(self.liveness, "fused_scores")
+
+    def _liveness_score(self, audio: DenoisedAudio, gcc: np.ndarray | None) -> float:
+        # A fused detector gets the full multi-channel audio and its GCC
+        # matrix so the array-side cues (TDoA coherence, directivity
+        # consistency) join the blend; the plain detector sees the
+        # reference channel only.
+        if self._liveness_reads_gcc:
+            return float(self.liveness.fused_scores([audio], self.extractor, [gcc])[0])
         return float(self.liveness.scores([audio.reference], audio.sample_rate)[0])
 
-    def _facing_probability(self, features: np.ndarray) -> float:
+    def _orientation_probability(
+        self, audio: DenoisedAudio, gcc: np.ndarray, healthy: tuple[int, ...] | None = None
+    ) -> float:
+        """Facing probability from the utterance's GCC matrix.
+
+        ``healthy`` selects the masked (surviving-pair) features.  NaN/Inf
+        escaping the extractor must never reach the SVM: it raises, and
+        :data:`_FEATURE_ERRORS` maps it to a :data:`REJECT_DEGRADED_INPUT`
+        decision at the pipeline boundary.
+        """
+        if healthy is None:
+            features = self.extractor.extract(audio, gcc)
+        else:
+            features = self.extractor.extract_masked(audio, healthy, gcc)
+        if not np.all(np.isfinite(features)):
+            raise ValueError("non-finite-features")
         return float(self.orientation.facing_probability(features.reshape(1, -1))[0])
+
+    def _correlate(self, audios: dict, keys: list[int], gccs: dict, fail) -> None:
+        """Add each keyed utterance's GCC matrix to ``gccs``.
+
+        A malformed utterance fails closed alone, without failing the
+        rest of the batch.
+        """
+        for k in keys:
+            try:
+                gccs[k] = self.extractor.correlate(audios[k])
+            except _FEATURE_ERRORS as error:
+                fail(k, f"feature-error:{error}")
 
     def _observe_decision(
         self,
@@ -332,118 +357,12 @@ class HeadTalkPipeline:
         to the same record.  Neither changes the decision.
         """
         with span("pipeline.evaluate"):
-            decision = self._evaluate_one(capture, check_liveness)
+            decision = self._decide([capture], check_liveness).decisions[0]
         if obs_enabled():
             self._observe_decision(
                 call, capture, decision, truth=truth, slices=slices, extra=extra
             )
         return decision
-
-    def _evaluate_one(self, capture: Capture, check_liveness: bool) -> Decision:
-        problem = self._capture_problem(capture)
-        if problem is not None:
-            return self._degraded_decision(problem)
-        with span("pipeline.preprocess"):
-            start = time.perf_counter()
-            audio = preprocess(capture)
-            preprocess_ms = (time.perf_counter() - start) * 1000.0
-
-        health = audio.health
-        degraded = health is not None and health.is_degraded
-        health_detail = _describe_health(health) if degraded else ""
-        healthy = health.healthy if health is not None else tuple(range(capture.n_mics))
-        if degraded and len(healthy) < 2:
-            return self._degraded_decision(
-                f"no-healthy-pair;{health_detail}", preprocess_ms, health=health
-            )
-
-        if not audio.had_speech:
-            return Decision(
-                accepted=False,
-                reason=REJECT_NO_SPEECH,
-                liveness_score=0.0,
-                facing_probability=0.0,
-                liveness_ms=0.0,
-                orientation_ms=0.0,
-                preprocess_ms=preprocess_ms,
-                degraded=degraded,
-                detail=health_detail,
-                health=health,
-            )
-
-        liveness_score = 1.0
-        liveness_ms = 0.0
-        if check_liveness:
-            with span("pipeline.liveness"):
-                start = time.perf_counter()
-                liveness_score = self._liveness_score(audio)
-                liveness_ms = (time.perf_counter() - start) * 1000.0
-            if not np.isfinite(liveness_score):
-                return self._degraded_decision(
-                    "non-finite-liveness-score",
-                    preprocess_ms,
-                    liveness_ms=liveness_ms,
-                    health=health,
-                )
-            if liveness_score < self.config.liveness_threshold:
-                return Decision(
-                    accepted=False,
-                    reason=REJECT_MECHANICAL,
-                    liveness_score=liveness_score,
-                    facing_probability=0.0,
-                    liveness_ms=liveness_ms,
-                    orientation_ms=0.0,
-                    preprocess_ms=preprocess_ms,
-                    degraded=degraded,
-                    detail=health_detail,
-                    health=health,
-                )
-
-        with span("pipeline.orientation"):
-            start = time.perf_counter()
-            try:
-                if degraded:
-                    features = self.extractor.extract_masked(audio, healthy)
-                else:
-                    features = self.extractor.extract(audio)
-                facing_probability = self._orientation_probability(features)
-            except _FEATURE_ERRORS as error:
-                orientation_ms = (time.perf_counter() - start) * 1000.0
-                return replace(
-                    self._degraded_decision(
-                        f"feature-error:{error}",
-                        preprocess_ms,
-                        liveness_score=liveness_score,
-                        liveness_ms=liveness_ms,
-                        health=health,
-                    ),
-                    orientation_ms=orientation_ms,
-                )
-            orientation_ms = (time.perf_counter() - start) * 1000.0
-        accepted = facing_probability >= self.config.facing_threshold
-        return Decision(
-            accepted=accepted,
-            reason=ACCEPT if accepted else REJECT_NON_FACING,
-            liveness_score=liveness_score,
-            facing_probability=facing_probability,
-            liveness_ms=liveness_ms,
-            orientation_ms=orientation_ms,
-            preprocess_ms=preprocess_ms,
-            degraded=degraded,
-            detail=health_detail,
-            health=health,
-        )
-
-    def _orientation_probability(self, features: np.ndarray) -> float:
-        """Facing probability with the non-finite feature guard applied.
-
-        NaN/Inf escaping the extractor must never reach the SVM or the
-        liveness models — it maps to a :data:`REJECT_DEGRADED_INPUT`
-        decision at the pipeline boundary via :data:`_FEATURE_ERRORS`.
-        """
-        if not np.all(np.isfinite(features)):
-            raise ValueError("non-finite-features")
-        return self._facing_probability(features)
 
     def evaluate_batch(
         self,
@@ -453,12 +372,10 @@ class HeadTalkPipeline:
         truths: list | None = None,
         slices: list | None = None,
     ) -> BatchEvaluation:
-        """Run the gate over many captures with shared, batched DSP.
+        """Run the gate over many captures, timing each stage per batch.
 
-        All captures that survive the speech gate (and, when enabled, the
-        liveness gate) have their pairwise GCC windows computed in one
-        stacked FFT via the extractor's batch path; scores and decisions
-        are bit-identical to calling :meth:`evaluate` per capture (the
+        Scores and decisions are byte-identical to calling
+        :meth:`evaluate` per capture (the same core runs both, and the
         per-model calls are kept per-row precisely so no batched matmul
         can perturb a single float).  Timings are whole-batch per stage;
         each returned ``Decision`` carries its stage's per-capture share.
@@ -477,7 +394,7 @@ class HeadTalkPipeline:
         with profiled("pipeline.evaluate_batch"), span(
             "pipeline.evaluate_batch", n=len(captures)
         ):
-            evaluation = self._evaluate_batch(captures, check_liveness)
+            evaluation = self._decide(captures, check_liveness)
         if obs_enabled():
             timings = evaluation.timings
             histogram_observe("pipeline.batch_stage_ms", timings.preprocess_ms, stage="preprocess")
@@ -496,157 +413,113 @@ class HeadTalkPipeline:
                 )
         return evaluation
 
-    def _try_orientation(
-        self, audio: DenoisedAudio, healthy: tuple[int, ...] | None
-    ) -> tuple[float | None, str]:
-        """Facing probability, or ``(None, cause)`` for a fail-closed reject.
+    def _decide(self, captures: list[Capture], check_liveness: bool) -> BatchEvaluation:
+        """The staged gate behind :meth:`evaluate` and :meth:`evaluate_batch`.
 
-        ``healthy`` selects the masked (surviving-pair) extraction; the
-        non-finite guard and the :data:`_FEATURE_ERRORS` boundary apply
-        on both paths, so a single corrupt utterance degrades only its
-        own decision.
+        Each stage runs once over the captures still undecided and is
+        timed as a whole; a decision carries each of its stages'
+        per-capture share.  A scored utterance is correlated once, by
+        the first stage that reads its GCC matrix (liveness when the
+        detector is fused, else orientation).
         """
-        try:
-            if healthy is not None:
-                features = self.extractor.extract_masked(audio, healthy)
-            else:
-                features = self.extractor.extract(audio)
-            return self._orientation_probability(features), ""
-        except _FEATURE_ERRORS as error:
-            return None, f"feature-error:{error}"
+        reasons: dict[int, str] = {}
+        details: dict[int, str] = {}
 
-    def _evaluate_batch(self, captures: list[Capture], check_liveness: bool) -> BatchEvaluation:
-        n = len(captures)
-        decisions: list[Decision | None] = [None] * n
+        def fail(k: int, cause: str) -> None:
+            reasons[k], details[k] = REJECT_DEGRADED_INPUT, cause
+
         for k, capture in enumerate(captures):
             problem = self._capture_problem(capture)
             if problem is not None:
-                decisions[k] = self._degraded_decision(problem)
-        render_idx = [k for k in range(n) if decisions[k] is None]
+                fail(k, problem)
+        valid = [k for k in range(len(captures)) if k not in reasons]
 
-        with span("pipeline.preprocess", n=len(render_idx)):
+        with span("pipeline.preprocess", n=len(valid)):
             start = time.perf_counter()
-            audios = {k: preprocess(captures[k]) for k in render_idx}
+            audios = {k: preprocess(captures[k]) for k in valid}
             preprocess_total = (time.perf_counter() - start) * 1000.0
-        preprocess_share = preprocess_total / len(render_idx) if render_idx else 0.0
 
-        healths: dict[int, ChannelHealth | None] = {}
-        details: dict[int, str] = {}
         masked: dict[int, tuple[int, ...]] = {}
-        for k in render_idx:
+        for k in valid:
             health = audios[k].health
-            healths[k] = health
-            if health is None or not health.is_degraded:
-                details[k] = ""
-                continue
-            details[k] = _describe_health(health)
-            if len(health.healthy) < 2:
-                decisions[k] = self._degraded_decision(
-                    f"no-healthy-pair;{details[k]}", preprocess_share, health=health
-                )
-            else:
+            if health is not None and health.is_degraded:
+                details[k] = _describe_health(health)
+                if len(health.healthy) < 2:
+                    fail(k, f"no-healthy-pair;{details[k]}")
+                    continue
                 masked[k] = health.healthy
-
-        reasons: dict[int, str] = {}
-        liveness_scores = [0.0] * n
-        facing = [0.0] * n
-        speech_idx = [
-            k for k in render_idx if decisions[k] is None and audios[k].had_speech
-        ]
-        for k in render_idx:
-            if decisions[k] is None and not audios[k].had_speech:
+            if not audios[k].had_speech:
                 reasons[k] = REJECT_NO_SPEECH
+        speech = [k for k in valid if k not in reasons]
 
+        gccs: dict[int, np.ndarray] = {}
+        scores = {} if check_liveness else dict.fromkeys(speech, 1.0)
+        live = speech
         liveness_total = 0.0
-        live_idx = list(speech_idx)
-        if check_liveness and speech_idx:
-            with span("pipeline.liveness", n=len(speech_idx)):
+        if check_liveness and speech:
+            with span("pipeline.liveness", n=len(speech)):
                 start = time.perf_counter()
-                live_idx = []
-                for k in speech_idx:
-                    score = self._liveness_score(audios[k])
-                    liveness_scores[k] = score
+                if self._liveness_reads_gcc:
+                    self._correlate(audios, speech, gccs, fail)
+                live = []
+                for k in speech:
+                    if k in reasons:
+                        continue
+                    score = self._liveness_score(audios[k], gccs.get(k))
                     if not np.isfinite(score):
-                        decisions[k] = self._degraded_decision(
-                            "non-finite-liveness-score",
-                            preprocess_share,
-                            health=healths[k],
-                        )
-                        liveness_scores[k] = 0.0
-                    elif score < self.config.liveness_threshold:
+                        fail(k, "non-finite-liveness-score")
+                        continue
+                    scores[k] = score
+                    if score < self.config.liveness_threshold:
                         reasons[k] = REJECT_MECHANICAL
                     else:
-                        live_idx.append(k)
+                        live.append(k)
                 liveness_total = (time.perf_counter() - start) * 1000.0
-        elif not check_liveness:
-            for k in speech_idx:
-                liveness_scores[k] = 1.0
 
+        facing: dict[int, float] = {}
         orientation_total = 0.0
-        if live_idx:
-            with span("pipeline.orientation", n=len(live_idx)):
+        if live:
+            with span("pipeline.orientation", n=len(live)):
                 start = time.perf_counter()
-                batch_idx = [k for k in live_idx if k not in masked]
-                rows: dict[int, np.ndarray] = {}
-                if batch_idx:
+                self._correlate(audios, [k for k in live if k not in gccs], gccs, fail)
+                for k in live:
+                    if k in reasons:
+                        continue
                     try:
-                        stacked = self.extractor.extract_batch(
-                            [audios[k] for k in batch_idx]
+                        facing[k] = self._orientation_probability(
+                            audios[k], gccs[k], masked.get(k)
                         )
-                        rows = dict(zip(batch_idx, stacked))
-                    except _FEATURE_ERRORS:
-                        # One bad utterance must not poison the whole
-                        # batch: fall back to per-capture extraction
-                        # (bit-identical to the batch path) so only the
-                        # offender degrades.
-                        rows = {}
-                for k in live_idx:
-                    if k in rows:
-                        try:
-                            probability, cause = self._orientation_probability(rows[k]), ""
-                        except _FEATURE_ERRORS as error:
-                            probability, cause = None, f"feature-error:{error}"
-                    else:
-                        probability, cause = self._try_orientation(
-                            audios[k], masked.get(k)
-                        )
-                    if probability is None:
-                        decisions[k] = self._degraded_decision(
-                            cause,
-                            preprocess_share,
-                            liveness_score=liveness_scores[k],
-                            health=healths[k],
-                        )
-                    else:
-                        facing[k] = probability
-                        reasons[k] = (
-                            ACCEPT
-                            if probability >= self.config.facing_threshold
-                            else REJECT_NON_FACING
-                        )
+                    except _FEATURE_ERRORS as error:
+                        fail(k, f"feature-error:{error}")
+                        continue
+                    accepted = facing[k] >= self.config.facing_threshold
+                    reasons[k] = ACCEPT if accepted else REJECT_NON_FACING
                 orientation_total = (time.perf_counter() - start) * 1000.0
 
-        liveness_share = liveness_total / len(speech_idx) if speech_idx else 0.0
-        orientation_share = orientation_total / len(live_idx) if live_idx else 0.0
-        for k in range(n):
-            if decisions[k] is not None:
-                continue
+        preprocess_ms = preprocess_total / len(valid) if valid else 0.0
+        liveness_ms = liveness_total / len(speech) if speech else 0.0
+        orientation_ms = orientation_total / len(live) if live else 0.0
+        decisions = []
+        for k in range(len(captures)):
             reason = reasons[k]
-            health = healths.get(k)
-            decisions[k] = Decision(
-                accepted=reason == ACCEPT,
-                reason=reason,
-                liveness_score=liveness_scores[k],
-                facing_probability=facing[k],
-                liveness_ms=liveness_share if k in speech_idx and check_liveness else 0.0,
-                orientation_ms=orientation_share if k in live_idx else 0.0,
-                preprocess_ms=preprocess_share,
-                degraded=health is not None and health.is_degraded,
-                detail=details.get(k, ""),
-                health=health,
+            health = audios[k].health if k in audios else None
+            decisions.append(
+                Decision(
+                    accepted=reason == ACCEPT,
+                    reason=reason,
+                    liveness_score=scores.get(k, 0.0),
+                    facing_probability=facing.get(k, 0.0),
+                    liveness_ms=liveness_ms if k in speech else 0.0,
+                    orientation_ms=orientation_ms if k in live else 0.0,
+                    preprocess_ms=preprocess_ms if k in audios else 0.0,
+                    degraded=reason == REJECT_DEGRADED_INPUT
+                    or (health is not None and health.is_degraded),
+                    detail=details.get(k, ""),
+                    health=health,
+                )
             )
         timings = BatchStageTimings(
-            n_captures=n,
+            n_captures=len(captures),
             preprocess_ms=preprocess_total,
             liveness_ms=liveness_total,
             orientation_ms=orientation_total,

@@ -444,9 +444,14 @@ class StreamingDecider:
                 return None
             config = self.pipeline.config
 
+            # One GCC matrix per prefix, computed by the first check that
+            # reads it and shared with the other (as in the pipeline core).
+            gcc = None
             if self.check_liveness:
                 try:
-                    score = self.pipeline._liveness_score(audio)
+                    if self.pipeline._liveness_reads_gcc:
+                        gcc = self.pipeline.extractor.correlate(audio)
+                    score = self.pipeline._liveness_score(audio, gcc)
                 except _FEATURE_ERRORS:
                     return None
                 if np.isfinite(score) and score < config.liveness_threshold - self.liveness_margin:
@@ -459,8 +464,9 @@ class StreamingDecider:
                 self._liveness_strikes = 0
 
             try:
-                features = self.pipeline.extractor.extract(audio)
-                probability = self.pipeline._orientation_probability(features)
+                if gcc is None:
+                    gcc = self.pipeline.extractor.correlate(audio)
+                probability = self.pipeline._orientation_probability(audio, gcc)
             except _FEATURE_ERRORS:
                 return None
             if probability < config.facing_threshold - self.facing_margin:

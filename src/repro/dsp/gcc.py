@@ -20,11 +20,23 @@ default, float32 runs the transforms in single precision for the raw
 hot path.  Granularities, coarse to fine:
 
 - :func:`gcc_phat` — one pair of one capture;
-- :func:`pairwise_gcc` — all pairs of one capture, one FFT per channel;
-- :func:`pairwise_gcc_batch` — all pairs of *many captures* in stacked
-  FFTs;
-- :func:`pairwise_gcc_frames` — all *frames* x pairs of one capture in
-  one batched rfft/irfft (the API the streaming gateway consumes).
+- :func:`pairwise_gcc` — all pairs of one capture;
+- :func:`pairwise_gcc_batch` — all pairs of *many captures*;
+- :func:`pairwise_gcc_frames` / :func:`pairwise_gcc_framewise` — all
+  *frames* x pairs of one capture (the API the streaming gateway
+  consumes).
+
+The two capture entry points run one kernel (one ``rfft`` per capture,
+then whitening and ``irfft`` one (capture, pair) row at a time), so
+their outputs are byte-identical, whatever the batch around a capture.
+The whitening granularity is what fixes the bits: numpy computes
+``spec_a * np.conj(spec_b)`` with one loop when it can elide the
+``conj`` temporary (rows of >= 256 KiB, i.e. >= 16,384 complex128
+bins) and with another, rounding differently, for shorter rows, for
+products over stacked rows and for ``out=`` writes.  A fresh 1-D
+product per row, whitened in place, is the only form that rounds the
+same way for every batch shape.  Frames keep the stacked whitening
+instead (see :func:`_frame_gcc`).
 """
 
 from __future__ import annotations
@@ -88,19 +100,17 @@ def _lag_window(corr: np.ndarray, max_lag: int) -> np.ndarray:
     return np.concatenate([corr[..., -max_lag:], corr[..., : max_lag + 1]], axis=-1)
 
 
-def _phat_correlate(spectra_a: np.ndarray, spectra_b: np.ndarray, n_fft: int, max_lag: int, fft) -> np.ndarray:
-    """Whitened cross-spectrum -> lag window, over any batch shape."""
-    cross = spectra_a * np.conj(spectra_b)
+def _whiten(spec_a: np.ndarray, spec_b: np.ndarray) -> np.ndarray:
+    """PHAT-whitened cross-power spectrum, over any batch shape."""
+    cross = spec_a * np.conj(spec_b)
     cross /= np.abs(cross) + _PHAT_REGULARIZATION
-    corr = fft.irfft(cross, n_fft, axis=-1)
-    return _lag_window(corr, max_lag)
+    return cross
 
 
 def gcc_phat(
     signal_a: np.ndarray,
     signal_b: np.ndarray,
     max_lag: int,
-    regularization: float = _PHAT_REGULARIZATION,
     dtype=None,
 ) -> np.ndarray:
     """Windowed GCC-PHAT between two signals.
@@ -121,12 +131,8 @@ def gcc_phat(
         raise ValueError("max_lag must be >= 0")
     n_fft = _fft_length(a.size + b.size, max_lag)
     fft = fft_api(dtype)
-    spec_a = fft.rfft(a, n_fft)
-    spec_b = fft.rfft(b, n_fft)
-    cross = spec_a * np.conj(spec_b)
-    cross /= np.abs(cross) + regularization
-    corr = fft.irfft(cross, n_fft)
-    return _lag_window(corr, max_lag)
+    cross = _whiten(fft.rfft(a, n_fft), fft.rfft(b, n_fft))
+    return _lag_window(fft.irfft(cross, n_fft), max_lag)
 
 
 def lag_axis(max_lag: int, sample_rate: int) -> np.ndarray:
@@ -169,6 +175,31 @@ def _validate_pairs(pairs: Sequence[tuple[int, int]], n_mics: int) -> None:
             raise ValueError(f"pair ({i}, {j}) out of range for {n_mics} mics")
 
 
+def _capture_gcc(
+    arrays: list[np.ndarray], pairs: list[tuple[int, int]], max_lag: int, dtype
+) -> np.ndarray:
+    """The capture kernel behind :func:`pairwise_gcc` and :func:`pairwise_gcc_batch`.
+
+    ``arrays`` are validated ``(n_mics, n_samples_k)`` captures sharing
+    ``n_mics``.  Each capture gets one ``rfft`` over all its channels,
+    reused across its pairs; each (capture, pair) row is whitened as a
+    fresh 1-D product (the form whose rounding does not depend on the
+    batch, see the module docstring) and inverted on its own.  Batching
+    the inverse transforms, per capture or over the whole batch,
+    measured slower on a 2-vCPU Xeon VM with numpy 2.4: 22.8 and
+    24.6 ms against 18.2 ms for one 38,400-sample, 4-mic capture.
+    """
+    out = np.empty((len(arrays), len(pairs), 2 * max_lag + 1), dtype=dtype)
+    fft = fft_api(dtype)
+    for k, x in enumerate(arrays):
+        n_fft = _fft_length(2 * x.shape[1], max_lag)
+        spectra = fft.rfft(x, n_fft, axis=1)
+        for row, (i, j) in enumerate(pairs):
+            corr = fft.irfft(_whiten(spectra[i], spectra[j]), n_fft)
+            out[k, row] = _lag_window(corr, max_lag)
+    return out
+
+
 def pairwise_gcc(
     channels: np.ndarray,
     pairs: list[tuple[int, int]],
@@ -198,17 +229,7 @@ def pairwise_gcc(
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     _validate_pairs(pairs, x.shape[0])
-    # One FFT per channel, reused across all pairs.
-    n_fft = _fft_length(2 * x.shape[1], max_lag)
-    fft = fft_api(dtype)
-    spectra = fft.rfft(x, n_fft, axis=1)
-    rows = np.empty((len(pairs), 2 * max_lag + 1), dtype=dtype)
-    for row, (i, j) in enumerate(pairs):
-        cross = spectra[i] * np.conj(spectra[j])
-        cross /= np.abs(cross) + _PHAT_REGULARIZATION
-        corr = fft.irfft(cross, n_fft)
-        rows[row] = _lag_window(corr, max_lag)
-    return rows
+    return _capture_gcc([x], pairs, max_lag, dtype)[0]
 
 
 def pairwise_gcc_batch(
@@ -217,14 +238,11 @@ def pairwise_gcc_batch(
     max_lag: int,
     dtype=None,
 ) -> np.ndarray:
-    """Vectorized :func:`pairwise_gcc` over a batch of captures.
+    """:func:`pairwise_gcc` over a batch of captures.
 
-    All captures' channel spectra are computed in stacked FFTs (grouped
-    by FFT length, since the power-of-two sizing quantizes lengths) and
-    every pair's whitened cross-spectrum is inverted in one batched
-    ``irfft``.  Results are bit-identical to calling :func:`pairwise_gcc`
-    per capture — the batch path is a pure re-grouping of the same
-    transforms.
+    Runs the same kernel as :func:`pairwise_gcc`, so each capture's
+    windows are byte-identical to calling :func:`pairwise_gcc` on it
+    alone.
 
     Parameters
     ----------
@@ -247,26 +265,7 @@ def pairwise_gcc_batch(
         if a.shape[0] != n_mics:
             raise ValueError("all captures in a batch must share n_mics")
     _validate_pairs(pairs, n_mics)
-
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
-    out = np.empty((len(arrays), len(pairs), 2 * max_lag + 1), dtype=dtype)
-    fft = fft_api(dtype)
-
-    groups: dict[int, list[int]] = {}
-    for k, a in enumerate(arrays):
-        groups.setdefault(_fft_length(2 * a.shape[1], max_lag), []).append(k)
-
-    for n_fft, members in groups.items():
-        longest = max(arrays[k].shape[1] for k in members)
-        stacked = np.zeros((len(members), n_mics, longest), dtype=dtype)
-        for slot, k in enumerate(members):
-            stacked[slot, :, : arrays[k].shape[1]] = arrays[k]
-        spectra = fft.rfft(stacked, n_fft, axis=-1)  # (g, n_mics, nf)
-        windows = _phat_correlate(spectra[:, i_idx], spectra[:, j_idx], n_fft, max_lag, fft)
-        for slot, k in enumerate(members):
-            out[k] = windows[slot]
-    return out
+    return _capture_gcc(arrays, pairs, max_lag, dtype)
 
 
 def extract_frames(
@@ -322,6 +321,30 @@ def extract_frames(
     return np.ascontiguousarray(x[:, idx].transpose(1, 0, 2))
 
 
+def _frame_gcc(
+    frames: np.ndarray, pairs: list[tuple[int, int]], max_lag: int, dtype
+) -> np.ndarray:
+    """The frame kernel behind :func:`pairwise_gcc_frames` and :func:`pairwise_gcc_framewise`."""
+    _validate_pairs(pairs, frames.shape[1])
+    if frames.shape[0] == 0:
+        return np.zeros((0, len(pairs), 2 * max_lag + 1), dtype=dtype)
+    n_fft = _fft_length(2 * frames.shape[2], max_lag)
+    i_idx = np.array([i for i, _ in pairs])
+    j_idx = np.array([j for _, j in pairs])
+    fft = fft_api(dtype)
+    spectra = fft.rfft(frames, n_fft, axis=-1)  # (n_frames, n_mics, nf)
+    # Here the frame and capture paths split: frames whiten all
+    # (frame, pair) rows in one stacked product, not row by row as
+    # :func:`_capture_gcc` does.  Frame windows feed only the streaming
+    # SRP-stability gate, never a decision fingerprint, so they need not
+    # round like the capture kernel; and the stacked product kept more
+    # of the batched transform's lead over a per-frame loop in
+    # benchmarks/test_bench_decision.py (median speedup 1.30 against
+    # 1.21 row by row, 4 runs each on a 2-vCPU Xeon VM).
+    cross = _whiten(spectra[:, i_idx], spectra[:, j_idx])
+    return _lag_window(fft.irfft(cross, n_fft, axis=-1), max_lag)
+
+
 def pairwise_gcc_frames(
     channels: np.ndarray,
     pairs: list[tuple[int, int]],
@@ -335,12 +358,11 @@ def pairwise_gcc_frames(
 
     Every frame x channel spectrum is computed in one batched ``rfft``
     and every frame x pair whitened cross-spectrum inverted in one
-    batched ``irfft`` — frame-granular :func:`pairwise_gcc_batch`.
-    Results match calling :func:`pairwise_gcc` on each frame of
-    :func:`extract_frames` separately to within a unit in the last
-    place: the transforms are re-grouped, not changed, but numpy's
-    elementwise kernels may round the whitening differently across
-    batch shapes.
+    batched ``irfft``.  Results match calling :func:`pairwise_gcc` on
+    each frame of :func:`extract_frames` separately to within a unit in
+    the last place: the transforms are the same, but the whitening runs
+    over all rows stacked, which numpy may round differently from the
+    capture kernel's row-by-row products (see the module docstring).
 
     This is the hot call of the incremental (streaming) decision path:
     orientation evidence per short frame, early-exit capable, instead of
@@ -354,7 +376,7 @@ def pairwise_gcc_frames(
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     frames = extract_frames(channels, frame_length, hop_length, pad=pad, dtype=dtype)
-    return pairwise_gcc_framewise(frames, pairs, max_lag, dtype=dtype)
+    return _frame_gcc(frames, pairs, max_lag, dtype)
 
 
 def pairwise_gcc_framewise(
@@ -387,12 +409,4 @@ def pairwise_gcc_framewise(
         raise ValueError(f"frames must be (n_frames, n_mics, frame_length), got {x.shape}")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    _validate_pairs(pairs, x.shape[1])
-    if x.shape[0] == 0:
-        return np.zeros((0, len(pairs), 2 * max_lag + 1), dtype=dtype)
-    n_fft = _fft_length(2 * x.shape[2], max_lag)
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
-    fft = fft_api(dtype)
-    spectra = fft.rfft(x, n_fft, axis=-1)  # (n_frames, n_mics, nf)
-    return _phat_correlate(spectra[:, i_idx], spectra[:, j_idx], n_fft, max_lag, fft)
+    return _frame_gcc(x, pairs, max_lag, dtype)

@@ -10,9 +10,12 @@ same frame-granular evidence incrementally:
   so the emitted frames are invariant to how the stream was chunked;
 - :class:`GccAccumulator` feeds each newly completed group of frames
   through :func:`repro.dsp.gcc.pairwise_gcc_framewise` (one batched
-  rfft/irfft per push) and keeps the running per-pair correlation sum,
-  from which callers read cheap per-frame evidence: the accumulated
-  SRP curve, its peak lag, and per-pair TDoA lags.
+  rfft/irfft per push, with the frame kernel's stacked whitening) and
+  keeps the running per-pair correlation sum, from which callers read
+  cheap per-frame evidence: the accumulated SRP curve, its peak lag,
+  and per-pair TDoA lags.  That evidence drives the streaming
+  decider's SRP-stability gate only; decisions are made from the
+  capture kernel's whole-utterance GCC matrix.
 
 Neither class makes decisions; :class:`repro.core.streaming
 .StreamingDecider` layers thresholds and early-exit policy on top.
@@ -101,8 +104,10 @@ class GccAccumulator:
     their correlation windows to ``gcc_sum``.  After ``n`` frames,
     ``gcc_sum / n`` matches the mean over
     ``pairwise_gcc_frames(stream, ..., pad=False)`` of the concatenated
-    signal to within a unit in the last place (same transforms,
-    different batch grouping).
+    signal to within a unit in the last place: the transforms are the
+    same, but the frame kernel whitens each push's rows stacked, and
+    numpy may round a stacked product differently for different stack
+    sizes (see :mod:`repro.dsp.gcc`).
     """
 
     def __init__(

@@ -1,29 +1,27 @@
-"""Per-geometry decision plans: steering lags and FFT sizing, cached.
+"""Per-geometry decision plans: pair lists, lag windows, steering lags.
 
 Every decision over a given device geometry re-derives the same small
 facts: the microphone pair list, the aperture-sized correlation half
-window, the power-of-two FFT length for each utterance length, and — in
-steering sweeps — the integer per-pair lags of each hypothesized source
-position.  None is individually expensive, but they sit on the per-
-decision hot path and are pure functions of ``(geometry, fs)``.
+window, and — in steering sweeps — the integer per-pair lags of each
+hypothesized source position.  None is individually expensive, but they
+sit on the per-decision hot path and are pure functions of
+``(geometry, fs)``.
 
 :func:`plan_for` memoizes an :class:`ArrayPlan` per geometry (keyed by
 the microphone positions and sample rate, not the device name, so a
 ``subset()`` with identical coordinates shares a plan).  Each plan
-memoizes FFT sizing per signal length and steering lags per source
-position.  Cache traffic is observable through the shared
-``runtime.cache.*`` counters (``cache=plan`` / ``cache=steering``).
+memoizes steering lags per source position.  Cache traffic is
+observable through the shared ``runtime.cache.*`` counters
+(``cache=plan`` / ``cache=steering``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from threading import Lock
 
 import numpy as np
 
 from ..arrays.geometry import MicArray
-from ..dsp.gcc import _fft_length
 from ..dsp.srp import srp_max_lag_for, steering_pair_lags
 from .cache import _LruCache
 
@@ -35,17 +33,14 @@ _STEERING_ENTRIES = 256
 class ArrayPlan:
     """Immutable per-``(geometry, fs)`` decision plan.
 
-    Holds the derived geometry facts every extractor call needs and two
-    small memos: FFT length per signal length and steering lags per
-    source position.  Thread-safe; obtain instances via
-    :func:`plan_for`.
+    Holds the derived geometry facts every extractor call needs and a
+    small memo of steering lags per source position.  Thread-safe;
+    obtain instances via :func:`plan_for`.
     """
 
     array: MicArray
     pairs: tuple[tuple[int, int], ...]
     max_lag: int
-    _fft_sizes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _fft_lock: Lock = field(init=False, repr=False, compare=False, default_factory=Lock)
     _steering: _LruCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -65,16 +60,6 @@ class ArrayPlan:
     def pair_list(self) -> list[tuple[int, int]]:
         """The pairs as the mutable list the dsp functions accept."""
         return list(self.pairs)
-
-    def fft_length(self, n_samples: int) -> int:
-        """Memoized GCC FFT size for an ``n_samples``-long capture."""
-        n = int(n_samples)
-        size = self._fft_sizes.get(n)
-        if size is None:
-            size = _fft_length(2 * n, self.max_lag)
-            with self._fft_lock:
-                self._fft_sizes[n] = size
-        return size
 
     def steering_lags(
         self,

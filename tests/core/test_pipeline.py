@@ -1,5 +1,8 @@
 """Tests for the HeadTalk decision pipeline."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,10 @@ from repro.core import (
     REJECT_NO_SPEECH,
     REJECT_NON_FACING,
 )
+from repro.core import preprocessing
+from repro.core.liveness import FusedLivenessDetector
+from repro.core.streaming import StreamingDecider
+from repro.dsp import gcc
 
 FS = 48_000
 
@@ -72,7 +79,16 @@ class TestDecisions:
         )
 
     def test_batch_matches_serial(self, pipeline, forward_capture, backward_capture, replay_capture):
-        captures = [forward_capture, backward_capture, replay_capture]
+        captures = [
+            forward_capture,
+            backward_capture,
+            replay_capture,
+            # Crops that preprocess to 2,049-8,192 samples, the lengths at
+            # which numpy rounds a stacked whitening product differently
+            # from a per-row one (see the repro.dsp.gcc module docstring).
+            Capture(channels=forward_capture.channels[:, 12678:17178], sample_rate=FS),
+            Capture(channels=replay_capture.channels[:, 12080:16580], sample_rate=FS),
+        ]
         serial = [pipeline.evaluate(c) for c in captures]
         batch = pipeline.evaluate_batch(captures)
         assert len(batch) == len(captures)
@@ -114,3 +130,86 @@ class TestDecisions:
         assert not decision.accepted
         assert decision.reason == REJECT_DEGRADED_INPUT
         assert decision.detail.startswith("sample-rate:")
+
+
+def _rebind(monkeypatch, original, wrapper):
+    """Replace ``original`` in every loaded module that binds it by name."""
+    for module in list(sys.modules.values()):
+        for name, value in list(getattr(module, "__dict__", {}).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.fixture
+def gcc_matrices(monkeypatch):
+    """Per-call counts of the capture GCC matrices computed, in call order."""
+    counts = []
+    for original, matrices in (
+        (gcc.pairwise_gcc, lambda args: 1),
+        (gcc.pairwise_gcc_batch, lambda args: len(args[0])),
+    ):
+
+        def counted(*args, _original=original, _matrices=matrices, **kwargs):
+            counts.append(_matrices(args))
+            return _original(*args, **kwargs)
+
+        _rebind(monkeypatch, original, counted)
+    return counts
+
+
+class TestOneGccPerUtterance:
+    """The fused gate correlates each scored utterance once.
+
+    The matrix feeds both the array liveness cues and the orientation
+    features; a degraded capture's masked features are the same matrix
+    with its dead-pair rows zeroed.
+    """
+
+    @pytest.fixture
+    def fused(self, pipeline):
+        return dataclasses.replace(
+            pipeline, liveness=FusedLivenessDetector(base=pipeline.liveness)
+        )
+
+    @pytest.fixture
+    def captures(self, forward_capture, side_capture, replay_capture):
+        dead = forward_capture.channels.copy()
+        dead[0] = 0.0
+        silent = np.zeros((4, FS // 4))
+        return [
+            forward_capture,
+            side_capture,
+            replay_capture,
+            Capture(channels=dead, sample_rate=FS),
+            Capture(channels=silent, sample_rate=FS),
+        ]
+
+    def test_evaluate(self, fused, captures, gcc_matrices):
+        for capture in captures:
+            before = sum(gcc_matrices)
+            decision = fused.evaluate(capture)
+            scored = decision.reason != REJECT_NO_SPEECH
+            assert sum(gcc_matrices) - before == int(scored)
+
+    def test_evaluate_batch(self, fused, captures, gcc_matrices):
+        evaluation = fused.evaluate_batch(captures)
+        scored = [d for d in evaluation if d.reason != REJECT_NO_SPEECH]
+        assert sum(gcc_matrices) == len(scored) == len(captures) - 1
+
+    def test_streaming_prefix_checks(self, fused, forward_capture, gcc_matrices, monkeypatch):
+        spoken = []
+        original = preprocessing.preprocess
+
+        def counted(*args, **kwargs):
+            audio = original(*args, **kwargs)
+            spoken.append(audio.had_speech)
+            return audio
+
+        _rebind(monkeypatch, original, counted)
+        decider = StreamingDecider(fused)
+        for start in range(0, forward_capture.n_samples, 2048):
+            decider.push(forward_capture.channels[:, start : start + 2048])
+        decider.finish()
+        # Every prefix check that found speech, plus the final evaluate.
+        assert sum(spoken) >= 2
+        assert sum(gcc_matrices) == sum(spoken)

@@ -187,12 +187,20 @@ class TestSignConventionAgainstGeometry:
 class TestPairwiseGccBatch:
     def test_matches_serial_bitwise(self):
         rng = np.random.default_rng(2)
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        batch = [rng.standard_normal((3, n)) for n in (1024, 1024, 900)]
-        stacked = pairwise_gcc_batch(batch, pairs, max_lag=9)
-        assert stacked.shape == (3, 3, 19)
-        for got, channels in zip(stacked, batch):
-            assert np.array_equal(got, pairwise_gcc(channels, pairs, max_lag=9))
+        cases = [
+            (3, (1024, 1024, 900), 9),
+            # Rows of 4,097-8,193 bins: too short for numpy to elide the
+            # conj temporary, while a stacked product over 6 pairs is long
+            # enough to (see the repro.dsp.gcc module docstring).
+            (4, (2049, 4500, 8192), 13),
+        ]
+        for n_mics, lengths, max_lag in cases:
+            pairs = [(i, j) for i in range(n_mics) for j in range(i + 1, n_mics)]
+            batch = [rng.standard_normal((n_mics, n)) for n in lengths]
+            stacked = pairwise_gcc_batch(batch, pairs, max_lag=max_lag)
+            assert stacked.shape == (len(batch), len(pairs), 2 * max_lag + 1)
+            for got, channels in zip(stacked, batch):
+                assert np.array_equal(got, pairwise_gcc(channels, pairs, max_lag=max_lag))
 
     def test_mixed_fft_lengths_grouped(self):
         """Captures whose lengths quantize to different FFT sizes."""

@@ -135,17 +135,11 @@ class TestFailClosed:
 
         # The extractor dataclass is frozen, so patch at class level: any
         # NaN that leaks from extraction must stop at the gate boundary.
+        # Both entry points assemble features through ``extract``.
         monkeypatch.setattr(
             OrientationFeatureExtractor,
             "extract",
-            lambda self, audio: np.full(self.n_features, np.nan),
-        )
-        monkeypatch.setattr(
-            OrientationFeatureExtractor,
-            "extract_batch",
-            lambda self, audios: np.stack(
-                [np.full(self.n_features, np.nan) for _ in audios]
-            ),
+            lambda self, audio, gcc=None: np.full(self.n_features, np.nan),
         )
         one = pipeline.evaluate(capture, check_liveness=False)
         assert not one.accepted

@@ -5,7 +5,6 @@ import pytest
 
 from repro.arrays import MicArray, get_device
 from repro.dsp import srp_max_lag_for, steering_pair_lags
-from repro.dsp.gcc import _fft_length
 from repro.runtime import clear_plans, plan_for, plan_stats
 
 
@@ -58,13 +57,6 @@ class TestPlanFor:
 
 
 class TestArrayPlanMemos:
-    def test_fft_length_matches_dsp(self):
-        plan = plan_for(get_device("D3"))
-        for n in (100, 4800, 4801):
-            assert plan.fft_length(n) == _fft_length(2 * n, plan.max_lag)
-        # memo hit returns the same value
-        assert plan.fft_length(4800) == _fft_length(2 * 4800, plan.max_lag)
-
     def test_steering_lags_match_dsp(self):
         array = get_device("D2")
         plan = plan_for(array)
