@@ -5,11 +5,19 @@ over a live PCM stream.  Audio arrives chunk by chunk; every chunk is
 health-screened, buffered, and folded into the accumulated per-frame
 GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`, batched
 through the geometry's cached :class:`~repro.runtime.plan.ArrayPlan`).
-Once enough frames have arrived, the decider periodically re-runs the
-real pipeline stages on the buffered *prefix* — the same preprocessing,
-liveness model and orientation extractor the batch path uses, just on a
-shorter utterance — and emits an early verdict as soon as the evidence
-crosses the decision threshold with margin, before end of utterance.
+Once enough frames have arrived, the decider re-runs the real pipeline
+stages on the buffered *prefix* — the same preprocessing, liveness
+model and orientation extractor the batch path uses, just on a shorter
+utterance — and emits an early verdict as soon as the evidence crosses
+the decision threshold with margin, before end of utterance.
+
+Each check waits for the prefix to grow by half since the last one
+(frames 4, 6, 10, 16, 24, 36, 54, … with the defaults), so the checked
+prefixes sum to at most three times the streamed frames and the cost
+of a streamed utterance stays linear in its length.  The accumulator
+is fed only while a check can still fire: after an early verdict, once
+a channel is voted out, or once the stream fails closed, it stops, and
+the decider counts frames from the samples it has seen.
 
 Two invariants keep early exit sound:
 
@@ -184,7 +192,9 @@ class StreamingDecider:
     min_frames:
         Frames required before the first early check.
     check_every:
-        Frames between early checks.
+        Minimum frames between early checks.  After a check at frame
+        ``n`` the next waits until frame ``n + check_every *
+        ceil(n / (2 * check_every))``: the prefix grows by half.
     consecutive:
         Below-margin checks required before an early rejection fires.
     facing_margin, liveness_margin:
@@ -260,7 +270,7 @@ class StreamingDecider:
         self._liveness_strikes = 0
         self._facing_strikes = 0
         self._last_srp_lag: int | None = None
-        self._last_check_frame = 0
+        self._next_check_frame = max(self.min_frames, self.check_every)
         self._started = time.perf_counter()
         self._result: StreamingResult | None = None
 
@@ -273,6 +283,17 @@ class StreamingDecider:
     def degraded(self) -> bool:
         """Whether any channel has been voted out mid-stream."""
         return bool(self._dead)
+
+    @property
+    def frames_seen(self) -> int:
+        """Complete evidence frames streamed so far.
+
+        Counted from the samples, because the accumulator stops once no
+        further early check can fire.
+        """
+        if self.samples_seen < self.frame_length:
+            return 0
+        return 1 + (self.samples_seen - self.frame_length) // self.hop_length
 
     def push(self, chunk: np.ndarray) -> EarlyVerdict | None:
         """Absorb one PCM chunk; returns the early verdict when it fires.
@@ -293,7 +314,6 @@ class StreamingDecider:
         self.samples_seen += x.shape[1]
         self.buffer.append(x)
         self._screen_chunk(x)
-        new_frames = self.accumulator.push(x)
         if self.early is not None:
             return None
         if self.fail_closed:
@@ -305,12 +325,11 @@ class StreamingDecider:
             # leave the verdict to the full-capture path, which screens
             # and masks for itself.
             return None
-        n_frames = self.accumulator.n_frames
-        if (
-            new_frames
-            and n_frames >= self.min_frames
-            and n_frames - self._last_check_frame >= self.check_every
-        ):
+        # The frame GCC feeds only the stability gate of checks still to
+        # come; past the returns above none can fire, so it stops there.
+        self.accumulator.push(x)
+        n_frames = self.frames_seen
+        if n_frames >= self._next_check_frame:
             return self._early_check(n_frames)
         return None
 
@@ -325,7 +344,7 @@ class StreamingDecider:
         """
         if self._result is not None:
             return self._result
-        frames_seen = self.accumulator.n_frames
+        frames_seen = self.frames_seen
         capture = Capture(
             channels=self.buffer.snapshot(),
             sample_rate=self.pipeline.array.sample_rate,
@@ -386,7 +405,7 @@ class StreamingDecider:
 
     def _fire(self, reason: str, score: float, detail: str = "") -> EarlyVerdict:
         self.early = EarlyVerdict(
-            reason=reason, frame=self.accumulator.n_frames, score=score, detail=detail
+            reason=reason, frame=self.frames_seen, score=score, detail=detail
         )
         counter_inc("streaming.early_exits", reason=reason)
         return self.early
@@ -415,7 +434,11 @@ class StreamingDecider:
 
     def _early_check(self, n_frames: int) -> EarlyVerdict | None:
         """One prefix evaluation against the thresholds-with-margin."""
-        self._last_check_frame = n_frames
+        # The next check waits until the prefix has grown by half, rounded
+        # up to whole ``check_every`` steps: the checked prefixes then sum
+        # to at most three times the frames streamed, not to their square.
+        step = self.check_every
+        self._next_check_frame = n_frames + step * -(-n_frames // (2 * step))
         self.checks += 1
 
         # Evidence-stability gate on the accumulated per-frame GCC: the

@@ -11,7 +11,8 @@ Knobs (all optional):
   hop, in samples (default 2048/2048: non-overlapping ~43 ms frames at
   48 kHz);
 - ``REPRO_SERVING_MIN_FRAMES`` — frames before the first early check;
-- ``REPRO_SERVING_CHECK_EVERY`` — frames between early checks;
+- ``REPRO_SERVING_CHECK_EVERY`` — minimum frames between early checks
+  (later checks wait for the prefix to grow by half);
 - ``REPRO_SERVING_CONSECUTIVE`` — below-margin checks before an early
   rejection fires;
 - ``REPRO_SERVING_FACING_MARGIN`` / ``REPRO_SERVING_LIVENESS_MARGIN``
@@ -39,8 +40,10 @@ class ServingConfig:
     """Tuning of one gateway process (see module docstring for knobs).
 
     The early-exit parameters are the empirically validated defaults of
-    :class:`repro.core.streaming.StreamingDecider`; the transport
-    parameters bound one process's concurrency and per-session memory.
+    :class:`repro.core.streaming.StreamingDecider` (``check_every`` is
+    the minimum gap between early checks, which otherwise wait for the
+    prefix to grow by half); the transport parameters bound one
+    process's concurrency and per-session memory.
     """
 
     frame_length: int = DEFAULT_FRAME_LENGTH

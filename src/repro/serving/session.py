@@ -266,7 +266,7 @@ class DeviceSession:
             "gated": decider is not None,
             "utterances": self.utterances,
             "utterance_id": self.utterance_id or None,
-            "frames_seen": decider.accumulator.n_frames if decider is not None else None,
+            "frames_seen": decider.frames_seen if decider is not None else None,
             "early": (
                 decider.early.reason
                 if decider is not None and decider.early is not None

@@ -38,6 +38,24 @@ class TestGatedLifecycle:
         assert decision["fingerprint"] == list(batch.fingerprint())
         assert not session.controller.session_open_at(0.0)
 
+    def test_status_counts_frames_after_the_early_event(
+        self, trained_pipeline, backward_capture, config
+    ):
+        session = DeviceSession("s1b", trained_pipeline, config)
+        session.begin_wake(now=0.0)
+        channels = backward_capture.channels
+        early_frame = None
+        for start in range(0, channels.shape[1], CHUNK):
+            event = session.push_audio(channels[:, start : start + CHUNK])
+            if event is not None:
+                early_frame = event["frame"]
+            # Frame and hop are both CHUNK: one frame per full chunk.
+            pushed = min(start + CHUNK, channels.shape[1])
+            assert session.status()["frames_seen"] == pushed // CHUNK
+        assert early_frame is not None
+        decision = session.end_wake(now=0.0)
+        assert decision["frames_seen"] == channels.shape[1] // CHUNK > early_frame
+
     def test_accepted_wake_opens_session(self, trained_pipeline, forward_capture, config):
         session = DeviceSession("s2", trained_pipeline, config)
         session.begin_wake(now=0.0)

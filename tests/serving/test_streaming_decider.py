@@ -9,6 +9,8 @@ latency (frames_to_decision), never flip verdicts.
 import numpy as np
 import pytest
 
+import repro.core.streaming as core_streaming
+import repro.dsp.streaming as dsp_streaming
 from repro.acoustics import Capture
 from repro.core import REJECT_DEGRADED_INPUT, REJECT_MECHANICAL, StreamingDecider
 
@@ -24,6 +26,19 @@ def _stream(decider, channels, chunk=CHUNK):
         if event is not None:
             events.append(event)
     return events, decider.finish()
+
+
+def _count_frame_gcc(monkeypatch):
+    """Rebind the accumulator's frame-GCC kernel to record each call."""
+    calls = []
+    real = dsp_streaming.pairwise_gcc_framewise
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dsp_streaming, "pairwise_gcc_framewise", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +104,16 @@ class TestEarlyExit:
         assert events[0].reason == REJECT_MECHANICAL
         assert result.frames_to_decision < result.frames_seen
 
-    def test_early_frame_is_chunk_invariant(self, pipeline, backward_capture):
-        frames = set()
-        for chunk in (2048, 1000, 4096, 333):
-            decider = StreamingDecider(pipeline)
-            _, result = _stream(decider, backward_capture.channels, chunk=chunk)
-            assert result.early_exited
-            frames.add(result.frames_to_decision)
-        assert len(frames) == 1
+    def test_early_frame_is_chunk_invariant(self, request, pipeline):
+        for name in ("backward_capture", "side_capture", "replay_capture"):
+            capture = request.getfixturevalue(name)
+            frames = set()
+            for chunk in (2048, 1000, 4096, 333):
+                decider = StreamingDecider(pipeline)
+                _, result = _stream(decider, capture.channels, chunk=chunk)
+                assert result.early_exited, name
+                frames.add(result.frames_to_decision)
+            assert len(frames) == 1, name
 
     def test_median_frames_to_decision_shortens_rejections(
         self, pipeline, backward_capture, replay_capture, side_capture
@@ -108,6 +125,45 @@ class TestEarlyExit:
             to_decision.append(result.frames_to_decision)
             seen.append(result.frames_seen)
         assert float(np.median(to_decision)) < float(np.median(seen))
+
+
+class TestStreamingCost:
+    def test_prefix_work_is_linear_in_the_stream(self, pipeline, forward_capture, monkeypatch):
+        # A 74-frame accept: checking every ``check_every`` frames would
+        # preprocess 16x the samples streamed.
+        channels = np.tile(forward_capture.channels, (1, 4))
+        prefixes = []
+        real = core_streaming.preprocess
+
+        def recording(capture, *args, **kwargs):
+            prefixes.append(capture.channels.shape[1])
+            return real(capture, *args, **kwargs)
+
+        monkeypatch.setattr(core_streaming, "preprocess", recording)
+        decider = StreamingDecider(pipeline)
+        _, result = _stream(decider, channels)
+        assert result.frames_seen == 74
+        assert sum(prefixes) <= 3 * result.samples_seen
+        # Each check waits for the prefix to grow by half: frames 4, 6,
+        # 10, 16, 24, 36 and 54.
+        assert result.checks == 7
+
+    def test_frame_gcc_stops_after_the_early_verdict(
+        self, pipeline, backward_capture, monkeypatch
+    ):
+        calls = _count_frame_gcc(monkeypatch)
+        decider = StreamingDecider(pipeline)
+        channels = backward_capture.channels
+        calls_at_verdict = None
+        for start in range(0, channels.shape[1], CHUNK):
+            if decider.push(channels[:, start : start + CHUNK]) is not None:
+                calls_at_verdict = len(calls)
+        result = decider.finish()
+        assert result.early_exited
+        assert len(calls) == calls_at_verdict
+        # The decider keeps counting the frames the accumulator skips.
+        assert result.frames_seen == 17
+        assert result.frames_to_decision == result.early.frame
 
 
 class TestLifecycle:
@@ -158,14 +214,27 @@ class TestMidStreamChannelDeath:
         assert result.decision.degraded
         assert result.consistent
 
-    def test_single_dead_channel_degrades_without_failing_closed(self, pipeline, forward_capture):
+    def test_single_dead_channel_degrades_without_failing_closed(
+        self, pipeline, forward_capture, monkeypatch
+    ):
         channels = forward_capture.channels.copy()
         channels[2, :] = 0.0
+        calls = _count_frame_gcc(monkeypatch)
         decider = StreamingDecider(pipeline)
-        events, result = _stream(decider, channels)
+        events, calls_at_vote = [], None
+        for start in range(0, channels.shape[1], CHUNK):
+            event = decider.push(channels[:, start : start + CHUNK])
+            if event is not None:
+                events.append(event)
+            if decider.degraded and calls_at_vote is None:
+                calls_at_vote = len(calls)
+        result = decider.finish()
         assert events == []  # early checks are suspended while degraded
         assert decider.degraded
         assert not decider.fail_closed
+        # No check can fire once a channel is voted out, so frame GCC stops.
+        assert len(calls) == calls_at_vote
+        assert result.frames_seen == channels.shape[1] // CHUNK
         # The final verdict is still the batch verdict on the same
         # capture: the full pipeline masks the dead channel itself.
         batch = pipeline.evaluate(Capture(channels=channels, sample_rate=FS))
