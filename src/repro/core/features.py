@@ -30,6 +30,7 @@ from ..dsp.spectral import high_low_band_ratio, low_band_chunk_stats
 from ..dsp.stats import summary_vector, top_k_peaks, window_score
 from ..dsp.stft import mean_power_spectrum
 from ..obs.spans import span
+from ..runtime.fanout import fan_out
 from ..runtime.plan import plan_for
 from .preprocessing import DenoisedAudio
 
@@ -345,12 +346,13 @@ class OrientationFeatureExtractor:
         """Feature matrix ``(n_utterances, n_features)``.
 
         Every row is byte-identical to :meth:`extract` on that utterance
-        alone.
+        alone.  Utterances fan out over a thread pool made for this call,
+        one worker per usable CPU (:func:`repro.runtime.fanout.fan_out`).
         """
         if not audios:
             raise ValueError("no utterances given")
         with span("features.extract_batch", n=len(audios)):
-            return np.stack([self._finalize(a, self.correlate(a)) for a in audios])
+            return np.stack(fan_out(lambda a: self._finalize(a, self.correlate(a)), audios))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ staged core, so a capture's decision is byte-identical whichever entry
 point, and whatever batch, it went through.  Each scored utterance is
 correlated once (its pairwise GCC-PHAT matrix, Eq. 5-6), and that matrix
 feeds both the fused detector's array cues and the orientation
-features.
+features.  Within a stage the per-capture work fans out over one thread
+per usable CPU (:func:`repro.runtime.fanout.fan_out`); the calling
+thread folds the results back in capture order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ..arrays.geometry import MicArray
 from ..obs import audit_record, counter_inc, histogram_observe, obs_enabled
 from ..obs.profile import profiled
 from ..obs.spans import span
+from ..runtime.fanout import fan_out
 from .config import HeadTalkConfig
 from .features import OrientationFeatureExtractor
 from .liveness import LivenessDetector
@@ -244,18 +247,6 @@ class HeadTalkPipeline:
             raise ValueError("non-finite-features")
         return float(self.orientation.facing_probability(features.reshape(1, -1))[0])
 
-    def _correlate(self, audios: dict, keys: list[int], gccs: dict, fail) -> None:
-        """Add each keyed utterance's GCC matrix to ``gccs``.
-
-        A malformed utterance fails closed alone, without failing the
-        rest of the batch.
-        """
-        for k in keys:
-            try:
-                gccs[k] = self.extractor.correlate(audios[k])
-            except _FEATURE_ERRORS as error:
-                fail(k, f"feature-error:{error}")
-
     def _observe_decision(
         self,
         call: str,
@@ -377,8 +368,11 @@ class HeadTalkPipeline:
         Scores and decisions are byte-identical to calling
         :meth:`evaluate` per capture (the same core runs both, and the
         per-model calls are kept per-row precisely so no batched matmul
-        can perturb a single float).  Timings are whole-batch per stage;
-        each returned ``Decision`` carries its stage's per-capture share.
+        can perturb a single float).  Each stage's per-capture work runs
+        on a thread pool made for this call, one worker per usable CPU
+        (:func:`repro.runtime.fanout.fan_out`); no thread outlives the
+        call.  Timings are whole-batch wall clock per stage; each
+        returned ``Decision`` carries its stage's per-capture share.
 
         ``truths`` / ``slices`` optionally carry one ground-truth label /
         slice-label dict per capture (``None`` entries allowed) for the
@@ -417,10 +411,13 @@ class HeadTalkPipeline:
         """The staged gate behind :meth:`evaluate` and :meth:`evaluate_batch`.
 
         Each stage runs once over the captures still undecided and is
-        timed as a whole; a decision carries each of its stages'
-        per-capture share.  A scored utterance is correlated once, by
-        the first stage that reads its GCC matrix (liveness when the
-        detector is fused, else orientation).
+        timed as a whole (wall clock); a decision carries each of its
+        stages' per-capture share.  A stage's per-capture tasks fan out
+        over threads and return their input trouble instead of raising
+        it; this thread turns it into fail-closed decisions and fills
+        reasons and scores in capture order.  A scored utterance is
+        correlated once, by the first stage that reads its GCC matrix
+        (liveness when the detector is fused, else orientation).
         """
         reasons: dict[int, str] = {}
         details: dict[int, str] = {}
@@ -436,7 +433,7 @@ class HeadTalkPipeline:
 
         with span("pipeline.preprocess", n=len(valid)):
             start = time.perf_counter()
-            audios = {k: preprocess(captures[k]) for k in valid}
+            audios = dict(zip(valid, fan_out(preprocess, [captures[k] for k in valid])))
             preprocess_total = (time.perf_counter() - start) * 1000.0
 
         masked: dict[int, tuple[int, ...]] = {}
@@ -452,6 +449,17 @@ class HeadTalkPipeline:
                 reasons[k] = REJECT_NO_SPEECH
         speech = [k for k in valid if k not in reasons]
 
+        # Stage tasks return input trouble (_FEATURE_ERRORS) instead of
+        # raising it, so one malformed utterance fails closed alone.
+        def liveness_task(k: int):
+            gcc = None
+            if self._liveness_reads_gcc:
+                try:
+                    gcc = self.extractor.correlate(audios[k])
+                except _FEATURE_ERRORS as error:
+                    return error
+            return gcc, self._liveness_score(audios[k], gcc)
+
         gccs: dict[int, np.ndarray] = {}
         scores = {} if check_liveness else dict.fromkeys(speech, 1.0)
         live = speech
@@ -459,13 +467,14 @@ class HeadTalkPipeline:
         if check_liveness and speech:
             with span("pipeline.liveness", n=len(speech)):
                 start = time.perf_counter()
-                if self._liveness_reads_gcc:
-                    self._correlate(audios, speech, gccs, fail)
                 live = []
-                for k in speech:
-                    if k in reasons:
+                for k, result in zip(speech, fan_out(liveness_task, speech)):
+                    if isinstance(result, Exception):
+                        fail(k, f"feature-error:{result}")
                         continue
-                    score = self._liveness_score(audios[k], gccs.get(k))
+                    gcc, score = result
+                    if gcc is not None:
+                        gccs[k] = gcc
                     if not np.isfinite(score):
                         fail(k, "non-finite-liveness-score")
                         continue
@@ -476,23 +485,24 @@ class HeadTalkPipeline:
                         live.append(k)
                 liveness_total = (time.perf_counter() - start) * 1000.0
 
+        def orientation_task(k: int):
+            try:
+                gcc = gccs[k] if k in gccs else self.extractor.correlate(audios[k])
+                return self._orientation_probability(audios[k], gcc, masked.get(k))
+            except _FEATURE_ERRORS as error:
+                return error
+
         facing: dict[int, float] = {}
         orientation_total = 0.0
         if live:
             with span("pipeline.orientation", n=len(live)):
                 start = time.perf_counter()
-                self._correlate(audios, [k for k in live if k not in gccs], gccs, fail)
-                for k in live:
-                    if k in reasons:
+                for k, result in zip(live, fan_out(orientation_task, live)):
+                    if isinstance(result, Exception):
+                        fail(k, f"feature-error:{result}")
                         continue
-                    try:
-                        facing[k] = self._orientation_probability(
-                            audios[k], gccs[k], masked.get(k)
-                        )
-                    except _FEATURE_ERRORS as error:
-                        fail(k, f"feature-error:{error}")
-                        continue
-                    accepted = facing[k] >= self.config.facing_threshold
+                    facing[k] = result
+                    accepted = result >= self.config.facing_threshold
                     reasons[k] = ACCEPT if accepted else REJECT_NON_FACING
                 orientation_total = (time.perf_counter() - start) * 1000.0
 

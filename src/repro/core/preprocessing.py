@@ -104,7 +104,9 @@ def screen_channels(
     finite_mask = np.isfinite(x)
     non_finite = tuple(int(k) for k in np.nonzero(~finite_mask.all(axis=1))[0])
 
-    safe = np.where(finite_mask, x, 0.0)
+    # Zeroing a copy only matters when a sample is not finite; the
+    # reductions below see the same values either way.
+    safe = np.where(finite_mask, x, 0.0) if non_finite else x
     rms = np.sqrt(np.mean(np.square(safe), axis=1))
     loudest = float(rms.max(initial=0.0))
     dead: tuple[int, ...] = ()
@@ -113,9 +115,10 @@ def screen_channels(
             int(k) for k in np.nonzero(rms < dead_rms_ratio * loudest)[0]
         )
 
-    peak = float(np.abs(safe).max(initial=0.0))
+    magnitude = np.abs(safe)
+    peak = float(magnitude.max(initial=0.0))
     if peak > 0.0:
-        railed = np.abs(safe) >= _CLIP_RAIL_RATIO * peak
+        railed = magnitude >= _CLIP_RAIL_RATIO * peak
         clip_fraction = railed.mean(axis=1)
     else:
         clip_fraction = np.zeros(n_channels)

@@ -4,15 +4,34 @@ The paper's preprocessing block removes environment-induced low and high
 frequency components with a **fifth-order Butterworth band-pass filter**
 keeping 100 Hz - 16 kHz (Section III).  This module provides that filter
 plus a small octave-style filterbank used by the band-split image-source
-room simulator.
+room simulator.  Each Butterworth design is computed once per
+(order, edges, type, sample rate): ``sps.butter`` cost about a fifth of
+one band-pass apply on a four-channel capture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
+
+
+@lru_cache(maxsize=64)
+def _butter_design(order: int, edges, btype: str, sample_rate) -> np.ndarray:
+    return sps.butter(order, edges, btype=btype, fs=sample_rate, output="sos")
+
+
+def butter_sos(order: int, edges, btype: str, sample_rate) -> np.ndarray:
+    """Second-order sections of a Butterworth filter, designed once per key.
+
+    ``edges`` is a cutoff in Hz, or a ``(low, high)`` tuple for band
+    types.  Returns a copy of the memoized design, so no caller can
+    corrupt it (scipy's filter kernels need a writable buffer, so the
+    memo cannot be made read-only instead).
+    """
+    return _butter_design(order, edges, btype, sample_rate).copy()
 
 
 @dataclass(frozen=True)
@@ -48,13 +67,7 @@ class BandpassFilter:
             raise ValueError("order must be >= 1")
 
     def _sos(self) -> np.ndarray:
-        return sps.butter(
-            self.order,
-            [self.low_hz, self.high_hz],
-            btype="bandpass",
-            fs=self.sample_rate,
-            output="sos",
-        )
+        return butter_sos(self.order, (self.low_hz, self.high_hz), "bandpass", self.sample_rate)
 
     def apply(self, audio: np.ndarray) -> np.ndarray:
         """Filter forward-backward (zero phase) along the last axis."""
@@ -80,7 +93,7 @@ def lowpass(audio: np.ndarray, cutoff_hz: float, sample_rate: int, order: int = 
     """Zero-phase Butterworth low-pass along the last axis."""
     if not 0 < cutoff_hz < sample_rate / 2:
         raise ValueError(f"cutoff {cutoff_hz} out of (0, Nyquist) range")
-    sos = sps.butter(order, cutoff_hz, btype="lowpass", fs=sample_rate, output="sos")
+    sos = butter_sos(order, cutoff_hz, "lowpass", sample_rate)
     return sps.sosfiltfilt(sos, np.asarray(audio, dtype=float), axis=-1)
 
 
@@ -88,7 +101,7 @@ def highpass(audio: np.ndarray, cutoff_hz: float, sample_rate: int, order: int =
     """Zero-phase Butterworth high-pass along the last axis."""
     if not 0 < cutoff_hz < sample_rate / 2:
         raise ValueError(f"cutoff {cutoff_hz} out of (0, Nyquist) range")
-    sos = sps.butter(order, cutoff_hz, btype="highpass", fs=sample_rate, output="sos")
+    sos = butter_sos(order, cutoff_hz, "highpass", sample_rate)
     return sps.sosfiltfilt(sos, np.asarray(audio, dtype=float), axis=-1)
 
 

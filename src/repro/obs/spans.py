@@ -7,7 +7,9 @@ and the name of its enclosing span, so a flat list of
 thread-local (concurrent threads trace independently), the completed
 record buffer is lock-guarded, and every process holds its own buffer —
 pool workers trace into their own memory and their records vanish with
-the worker unless exported there.
+the worker unless exported there.  Work handed to another thread keeps
+its place in the tree by running under :func:`spans_under` the
+submitting thread's :func:`open_spans`.
 
 When observability is disabled (:mod:`repro.obs.control`),
 :func:`span` returns a shared no-op context manager: the instrumented
@@ -20,6 +22,7 @@ import json
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .control import obs_enabled
@@ -39,6 +42,27 @@ def _stack() -> list:
     if frames is None:
         frames = _LOCAL.frames = []
     return frames
+
+
+def open_spans() -> tuple[str, ...]:
+    """Names of the calling thread's open spans, outermost first."""
+    return tuple(_stack())
+
+
+@contextmanager
+def spans_under(parents: tuple[str, ...]):
+    """Nest this thread's spans under ``parents`` for the body's duration.
+
+    ``parents`` is another thread's :func:`open_spans`: a task that one
+    thread submits to a pool thread then records the parent and depth
+    it would have had on the submitting thread.
+    """
+    saved = getattr(_LOCAL, "frames", None)
+    _LOCAL.frames = list(parents)
+    try:
+        yield
+    finally:
+        _LOCAL.frames = saved
 
 
 @dataclass(frozen=True)

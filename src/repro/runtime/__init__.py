@@ -12,7 +12,9 @@ speed without changing a single output byte:
   back to serial (and in-process cache reuse) at ``workers=1``; large
   waveforms travel through shared memory, not pickles (``REPRO_SHM``);
 - :mod:`repro.runtime.plan` memoizes per-``(geometry, fs)`` decision
-  plans: pair lists, lag windows, FFT sizing and steering lags.
+  plans: pair lists, lag windows, FFT sizing and steering lags;
+- :mod:`repro.runtime.fanout` maps the batch decision entry points'
+  per-capture work over a thread pool made for that one call.
 
 Invariant: serial, parallel, cold-cache and warm-cache paths all produce
 byte-identical captures.  See DESIGN.md ("Runtime layer").
@@ -46,6 +48,7 @@ from .cache import (
     rir_key,
     set_cache_enabled,
 )
+from .fanout import fan_out, usable_cpus
 from .plan import ArrayPlan, clear_plans, plan_for, plan_stats
 from .shm import ShmArrayRef, set_shm_enabled, shm_enabled
 
@@ -72,6 +75,7 @@ __all__ = [
     "default_workers",
     "deterministic_rir",
     "execute_render_task",
+    "fan_out",
     "generator_state",
     "persistent_pool",
     "render_captures",
@@ -80,5 +84,6 @@ __all__ = [
     "rir_key",
     "set_cache_enabled",
     "task_key",
+    "usable_cpus",
     "worker_pool",
 ]

@@ -180,3 +180,16 @@ def trained_pipeline(d2_subset, trained_detector, lab_scene, speaker):
         orientation=trained_detector,
         config=HeadTalkConfig(),
     )
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Batch fan-out over two pool threads on any runner, one-CPU included.
+
+    :func:`repro.runtime.fanout.fan_out` sizes its pool from
+    ``usable_cpus()``; pinning that to 2 makes every batch of two or
+    more items run on worker threads.
+    """
+    from repro.runtime import fanout
+
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)

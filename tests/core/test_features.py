@@ -1,5 +1,7 @@
 """Tests for the orientation feature extractors."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ class TestExtraction:
         audios = [preprocess(forward_capture), preprocess(backward_capture)]
         matrix = extractor.extract_batch(audios)
         assert matrix.shape == (2, extractor.n_features)
+
+    def test_batch_on_threads_matches_extract(
+        self, extractor, forward_capture, backward_capture, replay_capture, two_workers
+    ):
+        audios = [preprocess(c) for c in (forward_capture, backward_capture, replay_capture)]
+        before = threading.active_count()
+        matrix = extractor.extract_batch(audios)
+        assert threading.active_count() == before
+        for row, audio in zip(matrix, audios):
+            assert row.tobytes() == extractor.extract(audio).tobytes()
 
     def test_batch_empty_rejected(self, extractor):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ from repro.core import (
 )
 from repro.core import preprocessing
 from repro.core.liveness import FusedLivenessDetector
+from repro.core.pipeline import capture_key
 from repro.core.streaming import StreamingDecider
 from repro.dsp import gcc
+from repro.obs import audit_log, clear_spans, observed, span_records
+from repro.runtime import fanout
 
 FS = 48_000
 
@@ -213,3 +218,114 @@ class TestOneGccPerUtterance:
         # Every prefix check that found speech, plus the final evaluate.
         assert sum(spoken) >= 2
         assert sum(gcc_matrices) == sum(spoken)
+
+
+class TestBatchOnThreads:
+    """``evaluate_batch`` on a two-worker pool decides exactly like ``evaluate``.
+
+    The ``two_workers`` fixture forces the fan-out on any runner, a
+    one-CPU one included; ``evaluate`` (a batch of one) stays inline.
+    """
+
+    @pytest.fixture
+    def mixed(self, forward_capture, backward_capture, replay_capture, side_capture):
+        dead = forward_capture.channels.copy()
+        dead[0] = 0.0
+        nan = side_capture.channels.copy()
+        nan[2, 1000] = np.nan
+        return [
+            forward_capture,
+            backward_capture,
+            replay_capture,
+            side_capture,
+            Capture(channels=forward_capture.channels[:, 12678:17178], sample_rate=FS),
+            Capture(channels=replay_capture.channels[:, 12080:16580], sample_rate=FS),
+            Capture(channels=dead, sample_rate=FS),
+            Capture(channels=nan, sample_rate=FS),
+            Capture(channels=np.zeros((4, FS // 4)), sample_rate=FS),
+            Capture(channels=np.zeros((2, FS // 4)), sample_rate=FS),
+        ]
+
+    @pytest.fixture
+    def preprocess_threads(self, monkeypatch):
+        """Names of the threads that preprocessed each capture."""
+        names = []
+        original = preprocessing.preprocess
+
+        def recorded(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        _rebind(monkeypatch, original, recorded)
+        return names
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
+    @pytest.mark.parametrize("check_liveness", [True, False], ids=["liveness", "no-liveness"])
+    def test_matches_evaluate(
+        self, pipeline, mixed, fused, check_liveness, two_workers, preprocess_threads
+    ):
+        if fused:
+            pipeline = dataclasses.replace(
+                pipeline, liveness=FusedLivenessDetector(base=pipeline.liveness)
+            )
+        before = threading.active_count()
+        batch = pipeline.evaluate_batch(mixed, check_liveness)
+        assert threading.active_count() == before
+        assert any(name.startswith("repro-fan-out") for name in preprocess_threads)
+        serial = [pipeline.evaluate(capture, check_liveness) for capture in mixed]
+        assert [d.fingerprint() for d in batch] == [d.fingerprint() for d in serial]
+        reasons = {d.reason for d in batch}
+        assert {REJECT_DEGRADED_INPUT, REJECT_NO_SPEECH} <= reasons
+
+    def test_many_workers_at_a_short_switch_interval(self, pipeline, mixed, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a
+        # model that kept per-call state on a shared instance between
+        # threads would mix captures' scores here.
+        fused = dataclasses.replace(
+            pipeline, liveness=FusedLivenessDetector(base=pipeline.liveness)
+        )
+        serial = [fused.evaluate(capture) for capture in mixed]
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = fused.evaluate_batch(mixed + mixed)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [d.fingerprint() for d in serial + serial]
+        assert [d.fingerprint() for d in batch] == expected
+
+    def test_audit_records_keep_batch_order(self, pipeline, mixed, two_workers):
+        with observed(True):
+            batch = pipeline.evaluate_batch(mixed)
+            records = [
+                r for r in audit_log().records() if r.get("event") == "decision"
+            ][-len(mixed) :]
+        assert [r["call"] for r in records] == ["evaluate_batch"] * len(mixed)
+        assert [r["batch_index"] for r in records] == list(range(len(mixed)))
+        assert [r["capture_key"] for r in records] == [capture_key(c) for c in mixed]
+        assert [r["reason"] for r in records] == [d.reason for d in batch]
+
+    def test_worker_spans_keep_their_parents(
+        self, pipeline, forward_capture, backward_capture, side_capture, monkeypatch
+    ):
+        captures = [forward_capture, backward_capture, side_capture, forward_capture]
+
+        def traced(workers):
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: workers)
+            with observed(True):
+                clear_spans()
+                pipeline.evaluate_batch(captures)
+                records = span_records()
+                clear_spans()
+            return records
+
+        def shape(records):
+            return Counter((r.name, r.parent, r.depth) for r in records)
+
+        serial, pooled = traced(1), traced(2)
+        assert shape(pooled) == shape(serial)
+        caller = threading.current_thread().name
+        assert {r.thread for r in serial} == {caller}
+        workers = {r.thread for r in pooled if r.parent == "pipeline.preprocess"}
+        assert workers and all(name.startswith("repro-fan-out") for name in workers)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from repro.dsp import (
     BandpassFilter,
     band_split,
+    filters,
     headtalk_bandpass,
     highpass,
     lowpass,
@@ -121,3 +123,56 @@ class TestOctaveBands:
         x = tone(1000)
         parts = band_split(x, 48_000, [(100.0, 16_000.0)])
         assert np.allclose(parts[0], x)
+
+
+class TestDesignMemo:
+    """Each Butterworth design is computed once and reused bit for bit."""
+
+    @pytest.fixture
+    def butter_calls(self, monkeypatch):
+        calls = []
+        original = sps.butter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(filters.sps, "butter", counted)
+        filters._butter_design.cache_clear()
+        yield calls
+        filters._butter_design.cache_clear()
+
+    def test_outputs_equal_a_fresh_design(self, butter_calls):
+        fs = 48_000
+        x = np.random.default_rng(0).standard_normal((4, 5000))
+        short = x[:, :20]  # too short for filtfilt padding: the causal path
+        band = BandpassFilter(100, 16_000, fs)
+
+        def fresh(order, edges, btype):
+            return sps.butter(order, edges, btype, fs=fs, output="sos")
+
+        cases = [
+            (lambda: band.apply(x), sps.sosfiltfilt(fresh(5, [100, 16_000], "bandpass"), x)),
+            (lambda: band.apply(short), sps.sosfilt(fresh(5, [100, 16_000], "bandpass"), short)),
+            (lambda: lowpass(x, 2e3, fs, 4), sps.sosfiltfilt(fresh(4, 2e3, "lowpass"), x)),
+            (lambda: highpass(x, 300, fs, 4), sps.sosfiltfilt(fresh(4, 300, "highpass"), x)),
+        ]
+        for apply, expected in cases:
+            for _ in range(2):  # the cold design, then the memoized one
+                assert apply().tobytes() == expected.tobytes()
+
+    def test_butter_runs_once_across_applies(self, butter_calls):
+        x = np.random.default_rng(1).standard_normal((2, 2000))
+        for _ in range(3):
+            headtalk_bandpass(48_000).apply(x)
+            band_split(x, 48_000, octave_band_edges(48_000))
+        # One band-pass design plus one per band of the six-band split.
+        assert len(butter_calls) == 1 + len(octave_band_edges(48_000))
+
+    def test_cached_design_is_protected(self, butter_calls):
+        sos = filters.butter_sos(5, (100.0, 16_000.0), "bandpass", 48_000)
+        assert sos.flags.writeable
+        sos[:] = 0.0
+        again = filters.butter_sos(5, (100.0, 16_000.0), "bandpass", 48_000)
+        assert np.any(again != 0.0)
+        assert len(butter_calls) == 1

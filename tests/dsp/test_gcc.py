@@ -331,13 +331,14 @@ class TestTruncationWarning:
     @pytest.fixture(autouse=True)
     def fresh_warning_state(self, monkeypatch):
         from repro.dsp import gcc
-        from repro.obs import REGISTRY, set_obs_enabled
+        from repro.obs import REGISTRY, observed
 
         monkeypatch.setattr(gcc, "_TRUNCATION_WARNED", False)
         REGISTRY.reset()
-        set_obs_enabled(True)
-        yield
-        set_obs_enabled(False)
+        # Restores the enabled flag it found, so an instrumented run
+        # stays instrumented after this class.
+        with observed(True):
+            yield
         REGISTRY.reset()
 
     def test_dropped_tail_warns_once_and_counts(self):

@@ -96,6 +96,32 @@ class TestScreening:
         health = screen_channels(x)
         assert health.non_finite == (0, 3)
 
+    def test_mixed_faults_in_one_capture(self):
+        # Dead, NaN and clipped channels at once; the clipped channel
+        # defines the capture's peak, as a shared-ADC rail does.
+        x = _speechy()
+        x[0] = np.clip(x[0] * 50.0, -2.0, 2.0)
+        x[1] = 0.0
+        x[2, 100] = np.nan
+        health = screen_channels(x)
+        assert health.clipped == (0,)
+        assert health.dead == (1,)
+        assert health.non_finite == (2,)
+        assert health.healthy == (3,)
+        # The evidence equals the two-pass reference formula bit for bit.
+        safe = np.where(np.isfinite(x), x, 0.0)
+        rms = np.sqrt(np.mean(np.square(safe), axis=1))
+        railed = np.abs(safe) >= 0.995 * np.abs(safe).max()
+        assert health.rms == tuple(float(v) for v in rms)
+        assert health.clip_fraction == tuple(float(v) for v in railed.mean(axis=1))
+
+    def test_clean_evidence_matches_reference(self):
+        x = _speechy()
+        health = screen_channels(x)
+        rms = np.sqrt(np.mean(np.square(x), axis=1))
+        assert health.rms == tuple(float(v) for v in rms)
+        assert not health.is_degraded
+
     def test_healthy_capture_clean(self, forward_capture):
         health = screen_channels(forward_capture.channels)
         assert not health.is_degraded

@@ -2,8 +2,10 @@
 
 Observability state is process-global (that is the point of the layer),
 so every test here runs inside a fixture that clears spans, metrics,
-the audit ring and the decision-quality monitor, and restores the
-disabled default afterwards.
+the audit ring and the decision-quality monitor, runs the test with
+observability disabled unless it turns it on, and restores the enabled
+flag it found afterwards (an instrumented run stays instrumented past
+this directory).
 """
 
 import os
@@ -15,6 +17,7 @@ from repro.obs import (
     audit_log,
     clear_profiles,
     clear_spans,
+    observed,
     reset_worker_totals,
     set_obs_enabled,
     set_profiling_enabled,
@@ -48,6 +51,7 @@ def _reset_obs_state():
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     """Fresh, disabled observability state around every test."""
-    _reset_obs_state()
-    yield
-    _reset_obs_state()
+    with observed(False):
+        _reset_obs_state()
+        yield
+        _reset_obs_state()
