@@ -204,21 +204,28 @@ def test_bench_frame_batched_gcc(benchmark, record_result):
                 chunk = np.pad(chunk, ((0, 0), (0, frame_length - chunk.shape[1])))
             return chunk
 
-        looped_s = []
-        for _ in range(_ROUNDS):
-            start = time.perf_counter()
-            looped = np.stack(
-                [pairwise_gcc(frame(k), pairs, max_lag) for k in range(n_frames)]
-            )
-            looped_s.append(time.perf_counter() - start)
+        def run_looped():
+            return np.stack([pairwise_gcc(frame(k), pairs, max_lag) for k in range(n_frames)])
 
-        batched_s = []
-        for _ in range(_ROUNDS):
+        def run_batched():
+            return pairwise_gcc_frames(channels, pairs, max_lag, frame_length, hop_length)
+
+        def timed(run, seconds):
             start = time.perf_counter()
-            batched = pairwise_gcc_frames(
-                channels, pairs, max_lag, frame_length, hop_length
-            )
-            batched_s.append(time.perf_counter() - start)
+            out = run()
+            seconds.append(time.perf_counter() - start)
+            return out
+
+        looped_s, batched_s = [], []
+        for round_index in range(_ROUNDS):
+            # Interleave the paths and alternate which goes first, so host
+            # drift during the measurement lands on both alike.
+            if round_index % 2:
+                batched = timed(run_batched, batched_s)
+                looped = timed(run_looped, looped_s)
+            else:
+                looped = timed(run_looped, looped_s)
+                batched = timed(run_batched, batched_s)
         return looped, batched, min(looped_s), min(batched_s)
 
     looped, batched, looped_s, batched_s = benchmark.pedantic(measure, rounds=1, iterations=1)

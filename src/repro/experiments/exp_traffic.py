@@ -6,8 +6,9 @@ where most of what trips the wake detector is not a person addressing
 the device (TVs, conversations, replay attacks, cleaning noise).  This
 sweep generates seeded cities of increasing size with
 :mod:`repro.traffic`, replays each one through a live serving gateway
-over the JSON-lines TCP protocol, and reports the end-to-end decision
-quality *per misactivation source* together with the serving cost:
+over its TCP protocol (JSON control lines, binary audio frames), and
+reports the end-to-end decision quality *per misactivation source*
+together with the serving cost:
 
 - ``far_pct`` / ``frr_pct`` — false-accept / false-reject rate within
   one source label (``live-facing`` is the only should-accept source,

@@ -8,9 +8,11 @@ Enable it per process with ``REPRO_OBS=1`` or programmatically with
 
 This module also owns the one-time-warning env readers
 (:func:`warn_once`, :func:`env_int`, :func:`env_float`) shared by every
-``REPRO_*`` knob family (serving, monitor, faults, live): a malformed
-value falls back to its default with a single ``RuntimeWarning`` per
-process naming the bad value, and never changes behaviour silently.
+``REPRO_*`` knob family (serving, monitor, faults, live, the runtime's
+cache sizes and retry policy): a malformed value falls back to its
+default with a single ``RuntimeWarning`` per process naming the bad
+value, and never changes behaviour silently.  A blank value counts as
+unset.
 """
 
 from __future__ import annotations

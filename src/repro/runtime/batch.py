@@ -47,7 +47,7 @@ from ..faults import chaos as faults_chaos
 from ..faults.control import active_scenario
 from ..faults.scenario import FaultScenario
 from ..obs import workers as obs_workers
-from ..obs.control import obs_enabled
+from ..obs.control import env_float, env_int, obs_enabled
 from ..obs.metrics import counter_inc
 from ..obs.profile import profiled
 from ..obs.spans import span
@@ -57,7 +57,6 @@ _WORKER_OVERRIDE: int | None = None
 _ACTIVE_POOL: ProcessPoolExecutor | None = None
 _ACTIVE_POOL_WORKERS: int = 0
 _WARNED_BAD_WORKERS = False
-_WARNED_BAD_ENV: set[str] = set()
 
 
 class RenderDispatchError(RuntimeError):
@@ -90,28 +89,6 @@ def default_workers() -> int:
             )
         return 1
     return max(1, workers)
-
-
-def _warned_env(name: str, raw: str, default) -> None:
-    if name in _WARNED_BAD_ENV:
-        return
-    _WARNED_BAD_ENV.add(name)
-    warnings.warn(
-        f"{name}={raw!r} is not a valid value; using {default}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _env_number(name: str, default: float, cast=float):
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        _warned_env(name, raw, default)
-        return default
 
 
 @dataclass(frozen=True)
@@ -151,14 +128,12 @@ def retry_policy() -> RetryPolicy:
     values warn once and keep the default (the render must not lose its
     fault tolerance to a typo).
     """
-    timeout = _env_number("REPRO_RENDER_TIMEOUT_S", 0.0)
+    timeout = env_float("REPRO_RENDER_TIMEOUT_S", 0.0)
     return RetryPolicy(
-        retries=max(0, int(_env_number("REPRO_RENDER_RETRIES", 2, cast=int))),
-        backoff_s=max(0.0, _env_number("REPRO_RENDER_BACKOFF_S", 0.05)),
+        retries=max(0, env_int("REPRO_RENDER_RETRIES", 2)),
+        backoff_s=max(0.0, env_float("REPRO_RENDER_BACKOFF_S", 0.05)),
         timeout_s=timeout if timeout > 0.0 else None,
-        pool_rebuilds=max(
-            0, int(_env_number("REPRO_RENDER_POOL_REBUILDS", 1, cast=int))
-        ),
+        pool_rebuilds=max(0, env_int("REPRO_RENDER_POOL_REBUILDS", 1)),
     )
 
 

@@ -2,15 +2,22 @@
 
 ``ServingGateway`` accepts TCP connections (stdlib ``asyncio`` only)
 and gives each one a :class:`~repro.serving.session.DeviceSession`.
-The wire protocol is JSON lines, one object per line in each direction:
+Control messages are JSON lines, one object per line in each
+direction; audio travels as binary frames.
 
 Client → server ops::
 
     {"op": "wake"}
-    {"op": "audio", "pcm": "<base64 little-endian float64>", ...}
+    {"op": "audio", "bytes": N}  then exactly N raw bytes
     {"op": "end", "truth": true|false|null}
     {"op": "followup"} / {"op": "mute"} / {"op": "command", "text": ...}
     {"op": "close"}
+
+An audio frame is its JSON header line followed by ``N`` bytes of
+little-endian float64 samples, C-order ``(n_mics, k)``.  The gateway
+reads them with ``readexactly`` and hands them to ``np.frombuffer``: no
+text decoding per chunk, and a newline inside the samples cannot split
+a frame.
 
 Server → client events: a hello line on connect (``{"event": "hello",
 "session": "s000042", ...}``), ``early`` events pushed mid-stream the
@@ -20,19 +27,22 @@ frames-to-decision.  ``audio`` ops are not acknowledged — the client
 streams without round trips, which is what makes early events *early*.
 
 Failure policy mirrors the fault ladder: protocol errors (bad JSON,
-unknown op, out-of-order lifecycle, malformed PCM) answer with an
+unknown op, out-of-order lifecycle, malformed samples) answer with an
 ``{"error": ...}`` line and keep the connection; an unexpected internal
 error is degraded to an error event and counted, never allowed to take
-the gateway down.  When ``max_sessions`` devices are connected, new
-connections get a ``busy`` error and are closed immediately —
-backpressure at admission, not silent queueing.
+the gateway down.  Two errors close the connection instead, because
+the gateway can no longer tell where the next line starts: an audio
+header whose ``bytes`` is not an int in ``[0, MAX_AUDIO_BYTES]``
+(``bad-audio-length``; a legacy base64 ``pcm`` line is one) and a line
+past asyncio's 64 KiB limit (``line-too-long``).  When
+``max_sessions`` devices are connected, new connections get a ``busy``
+error and are closed immediately — backpressure at admission, not
+silent queueing.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
 import itertools
 import json
 
@@ -45,10 +55,23 @@ from ..obs.control import env_truthy
 from .config import ServingConfig
 from .session import DeviceSession, SessionError
 
-STREAM_LIMIT = 1 << 24
-"""Per-line stream buffer (16 MiB): one JSON line carries one base64
-PCM chunk, and asyncio's 64 KiB default is smaller than a single
-2048-sample multi-channel float64 chunk."""
+MAX_AUDIO_BYTES = 1 << 24
+"""Largest audio frame payload (16 MiB, about 11 s of 4-mic float64 at
+48 kHz).  A header that names more is a ``bad-audio-length`` error."""
+
+
+_BAD_AUDIO_LENGTH = {
+    "error": "bad-audio-length",
+    "detail": (
+        f"an audio op needs 'bytes', an int in [0, {MAX_AUDIO_BYTES}], followed by "
+        "exactly that many raw little-endian float64 bytes (base64 'pcm' is not read)"
+    ),
+}
+
+
+def _is_audio_length(size) -> bool:
+    """Whether an audio header's ``bytes`` field is a readable length."""
+    return isinstance(size, int) and not isinstance(size, bool) and 0 <= size <= MAX_AUDIO_BYTES
 
 
 class ServingGateway:
@@ -87,7 +110,6 @@ class ServingGateway:
             self._handle,
             host=self.config.host,
             port=self.config.port,
-            limit=STREAM_LIMIT,
         )
         if self.live_config is not None or env_truthy("REPRO_LIVE"):
             from ..obs.live import LiveTelemetry
@@ -161,9 +183,20 @@ class ServingGateway:
                 if message is None:
                     await self._send(writer, {"error": "malformed-json"})
                     continue
-                if message.get("op") == "close":
+                op = message.get("op")
+                if op == "close":
                     break
-                for reply in self._dispatch(session, message):
+                payload = b""
+                if op == "audio":
+                    size = message.get("bytes")
+                    if not _is_audio_length(size):
+                        # The payload's end is unknown, so the stream
+                        # cannot be resynchronized: answer and close.
+                        self._count_protocol_error("bad-audio-length")
+                        await self._send(writer, _BAD_AUDIO_LENGTH)
+                        break
+                    payload = await reader.readexactly(size)
+                for reply in self._dispatch(session, message, payload):
                     await self._send(writer, reply)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -174,8 +207,8 @@ class ServingGateway:
             # streams callback log a spurious traceback.
             pass
         except ValueError:
-            # A line past STREAM_LIMIT cannot be resynchronized; drop
-            # the connection instead of the gateway.
+            # A line past the stream's 64 KiB limit cannot be
+            # resynchronized; drop the connection instead of the gateway.
             self._count_protocol_error("line-too-long")
         finally:
             session.close()
@@ -204,14 +237,17 @@ class ServingGateway:
             return None
         return message
 
-    def _dispatch(self, session: DeviceSession, message: dict) -> list[dict]:
-        """Apply one op to the session; returns the events to send back."""
+    def _dispatch(self, session: DeviceSession, message: dict, payload: bytes) -> list[dict]:
+        """Apply one op to the session; returns the events to send back.
+
+        ``payload`` is the audio frame's raw bytes (empty for other ops).
+        """
         op = message.get("op")
         try:
             if op == "wake":
                 return [session.begin_wake()]
             if op == "audio":
-                event = session.push_audio(self._decode_audio(message))
+                event = session.push_audio(self._decode_audio(payload))
                 return [event] if event is not None else []
             if op == "end":
                 truth = message.get("truth")
@@ -239,21 +275,15 @@ class ServingGateway:
             counter_inc("serving.internal_errors", kind=type(error).__name__)
             return [{"error": f"internal:{type(error).__name__}"}]
 
-    def _decode_audio(self, message: dict) -> np.ndarray:
-        """Base64 little-endian float64, C-order ``(n_mics, k)``."""
-        raw = message.get("pcm")
-        if not isinstance(raw, str):
-            raise SessionError("audio op needs a base64 'pcm' string")
-        try:
-            payload = base64.b64decode(raw, validate=True)
-        except (binascii.Error, ValueError) as error:
-            raise SessionError(f"pcm is not valid base64: {error}") from error
+    def _decode_audio(self, payload: bytes) -> np.ndarray:
+        """Little-endian float64, C-order ``(n_mics, k)``."""
         if len(payload) % 8:
-            raise SessionError("pcm byte length is not a multiple of 8")
+            raise SessionError("audio byte length is not a multiple of 8")
         data = np.frombuffer(payload, dtype="<f8")
         n_mics = self.pipeline.array.n_mics
         if data.size % n_mics:
             raise SessionError(
-                f"pcm sample count {data.size} does not divide into {n_mics} channels"
+                f"audio sample count {data.size} does not divide into {n_mics} channels"
             )
         return data.reshape(n_mics, -1)
+

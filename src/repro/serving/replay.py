@@ -1,9 +1,16 @@
 """Asyncio client helpers: stream a capture through a running gateway.
 
-These are the building blocks the tests, the soak harness, and any
-offline replay use to drive the wire protocol from the client side:
-open a connection, stream one utterance chunk by chunk, collect the
-pushed ``early`` event (if any) and the final ``decision`` event.
+These are the building blocks the tests, the soak harness, the traffic
+drive and the benchmark's load generator use to drive the wire
+protocol from the client side: open a connection, stream one utterance
+chunk by chunk, collect the pushed ``early`` event (if any) and the
+final ``decision`` event.
+
+Control ops go out as JSON lines.  :func:`send_audio` sends each chunk
+as a binary frame: the header line ``{"op": "audio", "bytes": N}``,
+then the ``N`` bytes of the chunk's little-endian float64 samples in
+C order.  Every event the gateway sends back is one short JSON line,
+so the client reads with asyncio's default line limit.
 
 ``stream_capture`` is the one-shot convenience (connect, one utterance,
 close); ``open_session`` / ``stream_utterance`` keep a connection open
@@ -14,7 +21,6 @@ what the soak does.
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import time
 
@@ -35,15 +41,11 @@ async def _recv(reader: asyncio.StreamReader) -> dict:
     return json.loads(line)
 
 
-STREAM_LIMIT = 1 << 24
-"""Client-side per-line buffer; matches the gateway's limit."""
-
-
 async def open_session(
     host: str, port: int
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter, dict]:
     """Connect and read the hello (or busy error) line."""
-    reader, writer = await asyncio.open_connection(host, port, limit=STREAM_LIMIT)
+    reader, writer = await asyncio.open_connection(host, port)
     hello = await _recv(reader)
     return reader, writer, hello
 
@@ -61,10 +63,12 @@ async def close_session(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-def encode_chunk(chunk: np.ndarray) -> str:
-    """Base64 of C-order little-endian float64 samples."""
-    x = np.ascontiguousarray(np.asarray(chunk, dtype="<f8"))
-    return base64.b64encode(x.tobytes()).decode()
+async def send_audio(writer: asyncio.StreamWriter, chunk: np.ndarray) -> None:
+    """One audio frame: the header line, then the raw C-order ``<f8`` samples."""
+    payload = np.asarray(chunk, dtype="<f8").tobytes()
+    writer.write(json.dumps({"op": "audio", "bytes": len(payload)}).encode() + b"\n")
+    writer.write(payload)
+    await writer.drain()
 
 
 async def stream_utterance(
@@ -90,7 +94,7 @@ async def stream_utterance(
     channels = capture.channels
     for start in range(0, channels.shape[1], chunk_samples):
         chunk = channels[:, start : start + chunk_samples]
-        await _send(writer, {"op": "audio", "pcm": encode_chunk(chunk)})
+        await send_audio(writer, chunk)
     end: dict = {"op": "end"}
     if truth is not None:
         end["truth"] = bool(truth)

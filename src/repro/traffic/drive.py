@@ -4,9 +4,10 @@
 trained gate (TINY-scale orientation + a properly trained liveness
 model, so mechanical sources actually reject), renders the capture
 bank, generates the seeded Poisson event stream and replays it through
-a live :class:`~repro.serving.gateway.ServingGateway` over the
-JSON-lines TCP protocol — one client connection per (household,
-device), events dispatched strictly in event-time order.
+a live :class:`~repro.serving.gateway.ServingGateway` over its TCP
+protocol (JSON control lines, binary audio frames) — one client
+connection per (household, device), events dispatched strictly in
+event-time order.
 
 Every ``end`` op carries the event's scenario ground truth and slice
 labels (``source=...``, ``room=...``), so the process-global

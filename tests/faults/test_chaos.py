@@ -126,10 +126,10 @@ class TestRetryPolicyEnv:
         assert retry_policy().timeout_s is None
 
     def test_malformed_warns_and_defaults(self, monkeypatch):
-        from repro.runtime import batch
+        from repro.obs import control as obs_control
 
         monkeypatch.setenv("REPRO_RENDER_RETRIES", "many")
-        monkeypatch.setattr(batch, "_WARNED_BAD_ENV", set())
+        monkeypatch.setattr(obs_control, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="REPRO_RENDER_RETRIES"):
             policy = retry_policy()
         assert policy.retries == 2

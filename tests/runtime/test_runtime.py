@@ -277,9 +277,10 @@ class TestShmDispatch:
 
 class TestCacheEnvParsing:
     def test_malformed_cache_size_warns_once_and_falls_back(self, monkeypatch):
+        from repro.obs import control as obs_control
         from repro.runtime import cache as cache_mod
 
-        monkeypatch.setattr(cache_mod, "_WARNED_ENV", set())
+        monkeypatch.setattr(obs_control, "_WARNED", set())
         monkeypatch.setenv("REPRO_RIR_CACHE_ENTRIES", "lots")
         with pytest.warns(RuntimeWarning, match="REPRO_RIR_CACHE_ENTRIES"):
             assert cache_mod._env_entries("REPRO_RIR_CACHE_ENTRIES", 64) == 64
