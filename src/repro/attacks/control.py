@@ -48,10 +48,9 @@ def attacks_enabled() -> bool:
 
     True when enabled programmatically (:func:`set_attacks_enabled`,
     :func:`engaged`) *or* when ``REPRO_ATTACKS`` is truthy right now.
-    The environment is re-read on every call so forked or spawned pool
-    workers see the operator's ``REPRO_ATTACKS=1`` even when their
-    import-time snapshot predates it (the :mod:`repro.faults.control`
-    convention).
+    The environment is re-read on every call, so a ``REPRO_ATTACKS=1``
+    set after import (as ``tests/attacks/test_control.py`` does) still
+    arms the layer (the :mod:`repro.faults.control` convention).
     """
     return _ENABLED or env_truthy("REPRO_ATTACKS")
 

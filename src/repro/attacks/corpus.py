@@ -4,7 +4,7 @@ One entry point, :func:`attack_render_tasks`, turns an
 :class:`~repro.attacks.scenario.AttackScenario` into frozen
 :class:`~repro.runtime.batch.RenderTask`\\ s aimed at a device — the
 same shape the dataset layer produces, so the runtime batch renderer
-(serial or pool, shared-memory or not) executes them byte-identically.
+(inline or over threads) executes them byte-identically.
 E30, the attacks benchmark, the byte-determinism tests and the traffic
 capture bank all build their adversarial captures here; item 5's model
 lifecycle gets its adversarial replay corpus from the same place.
@@ -97,12 +97,8 @@ def attack_render_tasks(
     return tasks
 
 
-def render_attack_captures(
-    scenario: AttackScenario, workers: int | None = None, **kwargs
-) -> list:
-    """Rendered captures for one attacker session (serial or pool)."""
+def render_attack_captures(scenario: AttackScenario, **kwargs) -> list:
+    """Rendered captures for one attacker session (over threads)."""
     from ..runtime.batch import render_captures
 
-    return render_captures(
-        attack_render_tasks(scenario, **kwargs), workers=workers
-    )
+    return render_captures(attack_render_tasks(scenario, **kwargs))

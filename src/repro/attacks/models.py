@@ -30,7 +30,7 @@ Determinism contract (mirrors :mod:`repro.faults.scenario`): the random
 stream that colors each attack render is derived from the attack seed,
 the attack name **and a blake2b digest of the recorded waveform**, so
 an attack render is a pure function of ``(seed, config, content)`` —
-byte-identical serially, in any pool worker, in any order.
+byte-identical serially, on any render thread, in any order.
 """
 
 from __future__ import annotations

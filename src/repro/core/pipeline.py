@@ -259,11 +259,10 @@ class HeadTalkPipeline:
         extra: dict | None = None,
     ) -> None:
         """Metrics + audit record for one decision (observability on only)."""
-        # Lazy like worker_totals: keeps ``python -m repro.obs.monitor``
-        # clean of runpy's already-imported warning (repro's eager core
-        # import would otherwise pull the monitor in first).
+        # Lazy: keeps ``python -m repro.obs.monitor`` clean of runpy's
+        # already-imported warning (repro's eager core import would
+        # otherwise pull the monitor in first).
         from ..obs.monitor import monitor_record
-        from ..obs.workers import worker_totals
         from ..runtime.cache import cache_counts
 
         counter_inc("pipeline.decisions", call=call, reason=decision.reason)
@@ -289,9 +288,6 @@ class HeadTalkPipeline:
             "orientation_ms": decision.orientation_ms,
             "total_ms": decision.total_ms,
             "cache": cache_counts(),
-            # Pool workers hold their own render caches; their merged
-            # sidecar totals are the only view of worker-side behaviour.
-            "worker_cache": worker_totals(),
         }
         if decision.degraded:
             record["degraded"] = True

@@ -88,14 +88,12 @@ def build_orientation_dataset(
     specs: tuple[CollectionSpec, ...],
     seed: int = 0,
     gcc_only: bool = False,
-    workers: int | None = None,
 ) -> OrientationDataset:
     """Render sweeps and extract orientation features (cached).
 
-    ``workers`` fans the rendering out over a process pool (see
-    :func:`repro.datasets.collection.collect`); feature extraction runs
-    the chunked stacked-FFT path either way.  The cache key excludes
-    ``workers`` because every path is byte-identical.
+    Each sweep renders over threads (see
+    :func:`repro.datasets.collection.collect`), then feature extraction
+    runs the chunked stacked-FFT path.
     """
     key = ("orient", specs, seed, gcc_only)
     if key in _ORIENTATION_CACHE:
@@ -105,7 +103,7 @@ def build_orientation_dataset(
     for spec in specs:
         extractor = _extractor_for(spec, gcc_only)
         pending: list = []
-        for meta, capture in collect(spec, seed, workers=workers):
+        for meta, capture in collect(spec, seed):
             pending.append(preprocess(capture))
             metas.append(meta)
             if len(pending) >= _EXTRACT_CHUNK:
@@ -128,7 +126,6 @@ def build_liveness_dataset(
     specs: tuple[CollectionSpec, ...],
     seed: int = 0,
     n_bands: int = 40,
-    workers: int | None = None,
 ) -> LivenessDataset:
     """Render sweeps and extract liveness log-filterbank features (cached)."""
     key = ("live", specs, seed, n_bands)
@@ -139,7 +136,7 @@ def build_liveness_dataset(
     labels: list[int] = []
     metas: list[UtteranceMeta] = []
     for spec in specs:
-        for meta, capture in collect(spec, seed, workers=workers):
+        for meta, capture in collect(spec, seed):
             audio = preprocess(capture)
             features.append(featurizer.featurize(audio.reference, audio.sample_rate))
             labels.append(LIVE_HUMAN if meta.is_live_human else MECHANICAL)
@@ -191,12 +188,9 @@ def dataset1(
     devices: tuple[str, ...] = DEVICES,
     wake_words: tuple[str, ...] = WAKE_WORDS,
     seed: int = 0,
-    workers: int | None = None,
 ) -> OrientationDataset:
     """Dataset-1 orientation features (slices via keyword arguments)."""
-    return build_orientation_dataset(
-        dataset1_specs(scale, rooms, devices, wake_words), seed, workers=workers
-    )
+    return build_orientation_dataset(dataset1_specs(scale, rooms, devices, wake_words), seed)
 
 
 def dataset2_specs(scale: Scale = BENCH) -> tuple[CollectionSpec, ...]:

@@ -265,8 +265,8 @@ def render_tasks(
     context, pose jitter, emission synthesis — and freezes the remaining
     (expensive) acoustic render as a :class:`repro.runtime.RenderTask`
     carrying the exact random-stream state the in-line path would use.
-    ``collect`` executes these tasks; batch callers can fan them out over
-    a process pool with byte-identical results.
+    ``collect`` executes these tasks over threads, with byte-identical
+    results in any order.
     """
     from ..runtime.batch import InterferenceSpec, RenderTask
 
@@ -421,26 +421,16 @@ def collect(
     any ``workers`` value; any field change (session, timeframe, ...)
     re-derives every random stream.
 
-    Parameters
-    ----------
-    workers:
-        Render-process count.  ``None`` defers to
-        :func:`repro.runtime.default_workers` (serial unless opted in);
-        ``1`` streams captures lazily in-process, sharing this process's
-        warm render caches; ``> 1`` renders the whole sweep on a process
-        pool before yielding.
+    The whole sweep renders through
+    :func:`repro.runtime.render_captures` before the first capture is
+    yielded; ``workers`` caps its threads (``None``: one per usable
+    CPU, ``1``: inline on the calling thread).
     """
-    from ..runtime.batch import default_workers, execute_render_task, render_captures
+    from ..runtime.batch import render_captures
 
-    effective = default_workers() if workers is None else int(workers)
-    if effective <= 1:
-        for meta, task in render_tasks(spec, base_seed):
-            counter_inc("datasets.captures", room=spec.room, device=spec.device)
-            yield meta, execute_render_task(task)
-        return
-    with span("datasets.collect", room=spec.room, device=spec.device, workers=effective):
+    with span("datasets.collect", room=spec.room, device=spec.device):
         metas_tasks = list(render_tasks(spec, base_seed))
-        captures = render_captures([task for _, task in metas_tasks], workers=effective)
+        captures = render_captures([task for _, task in metas_tasks], workers)
     counter_inc(
         "datasets.captures", amount=len(metas_tasks), room=spec.room, device=spec.device
     )

@@ -96,15 +96,10 @@ def cross_session_evaluation(
     )
 
 
-def default_dataset(
-    scale=None, seed: int = 0, workers: int | None = None
-) -> OrientationDataset:
+def default_dataset(scale=None, seed: int = 0) -> OrientationDataset:
     """The paper's default slice: lab room, device D2, "Computer".
 
     Most sensitivity experiments train on this and probe one factor.
-    ``workers`` opts the rendering into the process-pool batch path
-    (``None`` defers to ``REPRO_RENDER_WORKERS``); features are
-    byte-identical for any value.
     """
     from ..datasets.catalog import BENCH, dataset1
 
@@ -114,7 +109,6 @@ def default_dataset(
         devices=("D2",),
         wake_words=("computer",),
         seed=seed,
-        workers=workers,
     )
 
 
@@ -124,7 +118,6 @@ def factor_f1_cells(
     rooms: tuple[str, ...] = ("lab", "home"),
     devices: tuple[str, ...] = ("D1", "D2", "D3"),
     wake_words: tuple[str, ...] = ("hey assistant", "computer", "amazon"),
-    workers: int | None = None,
 ) -> list[dict]:
     """Cross-session F1 for every (room, device, word, direction) cell.
 
@@ -143,7 +136,6 @@ def factor_f1_cells(
                     devices=(device,),
                     wake_words=(word,),
                     seed=seed,
-                    workers=workers,
                 )
                 outcome = cross_session_evaluation(dataset, DEFAULT_DEFINITION)
                 for direction, report in enumerate(outcome.reports):

@@ -1,4 +1,4 @@
-"""Fault injection and chaos hooks for the HeadTalk runtime.
+"""Fault injection for the HeadTalk runtime.
 
 ``repro.faults`` makes the degraded-hardware regime a first-class,
 testable input instead of an outage:
@@ -11,17 +11,14 @@ testable input instead of an outage:
   byte-identical in any process and order — plus severity-scaled
   presets;
 - :mod:`repro.faults.control` — the ``REPRO_FAULTS`` master switch and
-  scenario env plumbing, mirroring :mod:`repro.obs.control`;
-- :mod:`repro.faults.chaos` — deterministic worker-crash / transient-
-  failure hooks for exercising the pool retry and rebuild paths.
+  scenario env plumbing, mirroring :mod:`repro.obs.control`.
 
 The consumers live in :mod:`repro.core.preprocessing` (channel-health
 screening), :mod:`repro.core.pipeline` (fail-closed degraded
-decisions) and :mod:`repro.runtime.batch` (retry / pool recovery).
+decisions) and :mod:`repro.runtime.batch` (post-render corruption).
 See ``docs/ROBUSTNESS.md``.
 """
 
-from .chaos import TransientWorkerFault, chaos_unit, maybe_crash, maybe_fail
 from .control import (
     active_scenario,
     faults_enabled,
@@ -57,15 +54,11 @@ __all__ = [
     "FaultScenario",
     "GainDrift",
     "PRESET_NAMES",
-    "TransientWorkerFault",
     "active_scenario",
     "apply_faults",
     "capture_fault_key",
-    "chaos_unit",
     "faults_enabled",
     "injected",
-    "maybe_crash",
-    "maybe_fail",
     "preset_scenario",
     "scenario_from_env",
     "set_fault_scenario",

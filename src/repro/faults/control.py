@@ -6,8 +6,7 @@ from ``REPRO_FAULTS`` (overridable programmatically), plus an active
 programmatic override or the environment:
 
 - ``REPRO_FAULTS`` — truthy enables the layer (default off).  Enabling
-  the layer alone corrupts nothing; it arms the scenario lookup and the
-  chaos hooks (:mod:`repro.faults.chaos`).
+  the layer alone corrupts nothing; it arms the scenario lookup.
 - ``REPRO_FAULTS_SCENARIO`` — a preset name from
   :data:`~repro.faults.scenario.PRESET_NAMES`; unset means no capture
   corruption.
@@ -16,7 +15,7 @@ programmatic override or the environment:
 
 Malformed values fall back to their defaults with a one-time
 ``RuntimeWarning`` naming the bad value — a typo must not silently turn
-a chaos run into a clean one.
+a faulted run into a clean one.
 """
 
 from __future__ import annotations
@@ -48,10 +47,10 @@ def faults_enabled() -> bool:
 
     True when enabled programmatically (:func:`set_faults_enabled`,
     :func:`injected`) *or* when ``REPRO_FAULTS`` is truthy right now.
-    The environment is re-read on every call: pool workers may be forked
-    from a parent whose import-time snapshot predates the variable, or
-    spawned fresh with only the environment to go by — either way the
-    operator's ``REPRO_FAULTS=1`` must arm them.
+    The environment is re-read on every call, so a ``REPRO_FAULTS=1``
+    set after import still arms the layer: the convention
+    :mod:`repro.attacks.control` shares, whose tests set
+    ``REPRO_ATTACKS`` after import.
     """
     return _ENABLED or env_truthy("REPRO_FAULTS")
 
@@ -105,9 +104,9 @@ def active_scenario() -> FaultScenario | None:
 def injected(scenario: FaultScenario | None = None):
     """Scoped fault injection: enable the layer and set the scenario.
 
-    ``injected(None)`` enables the layer without a scenario (chaos
-    hooks armed, captures untouched).  Previous state is restored on
-    exit, matching :func:`repro.obs.control.observed`.
+    ``injected(None)`` enables the layer without a scenario (captures
+    untouched).  Previous state is restored on exit, matching
+    :func:`repro.obs.control.observed`.
     """
     previous_enabled = _ENABLED
     previous_scenario = _SCENARIO_OVERRIDE

@@ -11,7 +11,7 @@ is a function call and a dict/global lookup.  Enable per process with
   histograms (p50/p95/p99) and sliding-window rate counters keyed by
   name + labels;
 - :mod:`repro.obs.correlate` — context-local correlation ids binding an
-  utterance's audit records, spans and worker telemetry together;
+  utterance's audit records and spans together;
 - :mod:`repro.obs.live` — the opt-in (``REPRO_LIVE=1``) HTTP telemetry
   sidecar (``/metrics``, ``/healthz``, ``/readyz``, ``/sessions``,
   ``/alarms``) and the ``python -m repro.obs.live watch`` dashboard
@@ -19,10 +19,6 @@ is a function call and a dict/global lookup.  Enable per process with
   point clean);
 - :mod:`repro.obs.audit` — a JSONL audit log of every pipeline
   decision (capture key, verdicts, per-stage ms, cache counters);
-- :mod:`repro.obs.workers` — cross-process worker telemetry: an obs
-  context propagated into pool workers at spawn, per-task
-  :class:`WorkerSidecar` records (cache deltas, timings, spans) merged
-  back into the parent registry and trace;
 - :mod:`repro.obs.runlog` — schema-versioned experiment run manifests
   (config, seed, env fingerprint, git SHA, stage timings, metrics
   snapshot) under ``benchmarks/manifests/``;
@@ -74,16 +70,7 @@ from .profile import (
     set_profiling_enabled,
 )
 from .runlog import RunManifest, diff_manifests
-from .spans import SpanRecord, clear_spans, export_trace, ingest_spans, span, span_records
-from .workers import (
-    ObsContext,
-    WorkerSidecar,
-    init_worker,
-    last_sidecars,
-    merge_sidecars,
-    reset_worker_totals,
-    worker_totals,
-)
+from .spans import SpanRecord, clear_spans, export_trace, span, span_records
 
 __all__ = [
     "AuditLog",
@@ -91,12 +78,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObsContext",
     "REGISTRY",
     "RunManifest",
     "SpanRecord",
     "WindowedCounter",
-    "WorkerSidecar",
     "audit_log",
     "audit_record",
     "clear_profiles",
@@ -109,17 +94,12 @@ __all__ = [
     "export_trace",
     "gauge_set",
     "histogram_observe",
-    "ingest_spans",
-    "init_worker",
-    "last_sidecars",
-    "merge_sidecars",
     "obs_enabled",
     "observed",
     "profile_snapshot",
     "profiled",
     "profiling_enabled",
     "read_jsonl",
-    "reset_worker_totals",
     "set_correlation",
     "set_obs_enabled",
     "set_profiling_enabled",
@@ -127,5 +107,4 @@ __all__ = [
     "span",
     "span_records",
     "windowed_inc",
-    "worker_totals",
 ]

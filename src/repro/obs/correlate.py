@@ -9,9 +9,8 @@ that happens inside the binding picks it up automatically:
   record, so the gateway's ``serving`` event and the pipeline's
   ``decision`` record for the same utterance grep together;
 - :func:`repro.obs.spans.span` adds a ``corr`` label to every span;
-- :mod:`repro.obs.workers` stamps pool-worker sidecars with the
-  correlation active when the worker context was captured, so merged
-  worker spans carry it too.
+- :func:`repro.runtime.fanout.fan_out` runs each task under a copy of
+  the caller's context, so spans recorded on its threads carry it too.
 
 The binding is a :class:`contextvars.ContextVar`: asyncio tasks inherit
 a copy of the context at creation, so concurrent sessions multiplexed
@@ -36,8 +35,8 @@ def correlation_id() -> str | None:
 def set_correlation(value: str | None) -> None:
     """Bind (or, with ``None``/empty, clear) the current context's id.
 
-    Prefer the :func:`correlated` scope; this flat setter exists for
-    process-lifetime bindings such as pool-worker initializers.
+    Prefer the :func:`correlated` scope; this flat setter binds for the
+    rest of the current context (a test fixture clearing the id, say).
     """
     _CORRELATION.set(value or None)
 

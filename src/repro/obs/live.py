@@ -9,10 +9,9 @@ own event loop (stdlib ``asyncio`` only, no web framework) answering:
   format (:func:`repro.obs.metrics.snapshot_to_prometheus`);
 - ``/healthz`` — liveness: the loop is turning (uptime, session count);
 - ``/readyz`` — readiness: admission still open (below
-  ``max_sessions``), the render pool not broken
-  (:func:`repro.runtime.batch.pool_health`), and no SLO burn-rate
-  alarm firing (:mod:`repro.obs.monitor`); 503 otherwise, with the
-  failing checks in the JSON body;
+  ``max_sessions``) and no SLO burn-rate alarm firing
+  (:mod:`repro.obs.monitor`); 503 otherwise, with the failing checks
+  in the JSON body;
 - ``/sessions`` — per-session JSON (mode, streaming/gated flags, ring
   occupancy, current utterance id) via
   :meth:`~repro.serving.session.DeviceSession.status`;
@@ -252,22 +251,18 @@ class LiveTelemetry:
         }
 
     def readiness(self) -> tuple[bool, dict]:
-        """Admission + pool + SLO view; not-ready when any check fails.
+        """Admission + SLO view; not-ready when either check fails.
 
         Admission is *closed* while the gateway is at ``max_sessions``
-        (the next connection would be busy-rejected); the pool check
-        only fails on a registered-but-broken persistent pool; any
-        firing SLO burn-rate alarm fails readiness until the burn
-        decays out of its windows.
+        (the next connection would be busy-rejected); any firing SLO
+        burn-rate alarm fails readiness until the burn decays out of
+        its windows.
         """
-        from ..runtime.batch import pool_health
-
         sessions = len(self.gateway.sessions)
         max_sessions = self.gateway.config.max_sessions
         admission_open = sessions < max_sessions
-        pool = pool_health()
         alarms = slo_monitor().active_alarms()
-        ready = admission_open and pool["pool"] != "broken" and not alarms
+        ready = admission_open and not alarms
         return ready, {
             "ready": ready,
             "admission": {
@@ -275,7 +270,6 @@ class LiveTelemetry:
                 "sessions": sessions,
                 "max_sessions": max_sessions,
             },
-            "pool": pool,
             "alarms": [alarm["slo"] for alarm in alarms],
         }
 
@@ -315,7 +309,6 @@ def render_dashboard(
             f" · up {health.get('uptime_s', 0.0):.0f}s"
             f" · ready {'yes' if ready.get('ready') else 'NO'}"
             f" · sessions {admission.get('sessions', '?')}/{admission.get('max_sessions', '?')}"
-            f" · pool {ready.get('pool', {}).get('pool', '?')}"
             f" · alarms {len(active)}"
         ),
         "",

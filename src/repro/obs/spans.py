@@ -4,12 +4,10 @@
 duration of its body.  Spans nest: each completed span knows its depth
 and the name of its enclosing span, so a flat list of
 :class:`SpanRecord` reconstructs the call tree.  Nesting state is
-thread-local (concurrent threads trace independently), the completed
-record buffer is lock-guarded, and every process holds its own buffer —
-pool workers trace into their own memory and their records vanish with
-the worker unless exported there.  Work handed to another thread keeps
-its place in the tree by running under :func:`spans_under` the
-submitting thread's :func:`open_spans`.
+thread-local (concurrent threads trace independently) and the completed
+record buffer is lock-guarded.  Work handed to another thread keeps its
+place in the tree by running under :func:`spans_under` the submitting
+thread's :func:`open_spans`.
 
 When observability is disabled (:mod:`repro.obs.control`),
 :func:`span` returns a shared no-op context manager: the instrumented
@@ -179,18 +177,6 @@ def clear_spans() -> None:
     """Drop every completed span record."""
     with _RECORDS_LOCK:
         _RECORDS.clear()
-
-
-def ingest_spans(records) -> None:
-    """Append externally collected records to this process's buffer.
-
-    The merge point for pool-worker telemetry: workers trace into their
-    own per-process buffers, ship the records back as picklable
-    :class:`SpanRecord` sidecars, and the parent folds them into its
-    trace tree here (see :mod:`repro.obs.workers`).
-    """
-    with _RECORDS_LOCK:
-        _RECORDS.extend(records)
 
 
 def export_trace(path=None) -> list[dict]:

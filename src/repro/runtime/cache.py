@@ -22,8 +22,8 @@ caller's random stream as a miss (none) and cold/warm outputs are
 byte-identical.  Entries are stored read-only; the dry cache hands out
 copies because callers mix noise in place.
 
-Caches are per-process (worker processes of the batch renderer each hold
-their own).  Sizes are bounded and configurable via
+Caches are per-process and shared by every render thread (each cache
+guards its state with a lock).  Sizes are bounded and configurable via
 ``REPRO_RIR_CACHE_ENTRIES`` / ``REPRO_DRY_CACHE_ENTRIES``.
 """
 
@@ -151,7 +151,7 @@ def cache_stats() -> dict[str, CacheStats]:
 def cache_counts() -> dict[str, dict[str, int]]:
     """Per-cache counters as plain dicts (picklable and JSON-able).
 
-    The shape worker-telemetry sidecars and audit records carry:
+    The shape audit records carry:
     ``{"rir": {"hits": ..., "misses": ..., "evictions": ...}, "dry":
     {...}}``.
     """

@@ -1,18 +1,19 @@
-"""Per-call thread fan-out for the batch decision entry points.
+"""Per-call thread fan-out for the batch renderer and decision entry points.
 
 :func:`fan_out` maps a per-item function over a thread pool created for
 that one call and returns the results in input order.  The pool has
 ``min(len(items), n_cpus)`` workers, ``n_cpus`` being the CPUs this
-process may run on (:func:`usable_cpus`); below two workers the map
-runs inline on the calling thread.  No thread outlives the call, so
-there is no module state and no idle pool for a forked child to
-inherit.
+process may run on (:func:`usable_cpus`), or fewer when the caller caps
+it; below two workers the map runs inline on the calling thread.  No
+thread outlives the call, so there is no module state and no idle pool
+for a forked child to inherit.
 
-The per-capture work of a decision (band-pass, GCC, STFT, model
-scoring) spends most of its time in numpy/scipy kernels that release
-the GIL, so captures of one batch decide side by side.  Splitting one
-capture's work across threads measured no faster and cost more CPU per
-decision; fan out across captures, not inside one.
+The per-capture work of a render (image-source RIRs, convolution FFTs)
+and of a decision (band-pass, GCC, STFT, model scoring) spends most of
+its time in numpy/scipy kernels that release the GIL, so the captures
+of one batch run side by side.  Splitting one capture's decision across
+threads measured no faster and cost more CPU per decision; fan out
+across captures, not inside one.
 
 Each task runs under a copy of the caller's :mod:`contextvars` context
 (which carries the correlation id) and with the caller's open spans as
@@ -38,14 +39,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def fan_out(fn: Callable, items: Iterable) -> list:
+def fan_out(fn: Callable, items: Iterable, max_workers: int | None = None) -> list:
     """``[fn(item) for item in items]``, one pool thread per usable CPU.
 
-    An exception raised by ``fn`` propagates from the first failing item
-    in input order, after every task has finished.
+    ``max_workers`` caps the pool below that (``1`` runs inline).  An
+    exception raised by ``fn`` propagates from the first failing item in
+    input order, after every task has finished.
     """
     items = list(items)
     workers = min(len(items), usable_cpus())
+    if max_workers is not None:
+        workers = min(workers, max_workers)
     if workers < 2:
         return [fn(item) for item in items]
     parents = open_spans()

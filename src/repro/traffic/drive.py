@@ -405,7 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         help="gate with the fused four-cue liveness decision (E30 hardened path)",
     )
     parser.add_argument("--chunk", type=int, default=16384)
-    parser.add_argument("--workers", type=int, default=None, help="bank render workers")
     parser.add_argument("--name", default="traffic", help="quality report name")
     parser.add_argument("--out", default="benchmarks/results", help="report directory")
     parser.add_argument(
@@ -449,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     pipeline = build_pipeline(config.seed, hardened=args.hardened)
     bank = CaptureBank(config)
-    bank.render(workers=args.workers)
+    bank.render()
     households, events = generate_city(config)
     print(f"generated {len(events)} events from {len(households)} households", file=sys.stderr)
 

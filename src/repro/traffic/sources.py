@@ -3,7 +3,7 @@
 Every traffic event plays one capture from a finite bank of archetypes
 keyed ``(room, source, variant)``.  Rendering is the expensive part of
 the simulator, so the bank renders each archetype exactly once through
-the runtime batch renderer (scene-keyed caches, optional process pool)
+the runtime batch renderer (scene-keyed caches, rendered over threads)
 and the million-event stream replays bank entries — the same trade
 real load generators make when they loop a corpus of recorded traffic.
 
@@ -260,7 +260,7 @@ class CaptureBank:
         return entries
 
     def render(self, workers: int | None = None) -> dict:
-        """Render every archetype (serial or pool; byte-identical either way)."""
+        """Render every archetype over threads (byte-identical for any ``workers``)."""
         from ..runtime.batch import render_captures
 
         captures = render_captures([e.task for e in self.entries], workers=workers)

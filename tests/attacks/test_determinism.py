@@ -1,8 +1,8 @@
 """Determinism of attack rendering: pure function of (seed, scenario, content).
 
 The layer's contract mirrors repro.faults: an attack render is
-byte-identical serially, in any pool worker, in any order, with shared
-memory on or off, and at either decision dtype.
+byte-identical serially, on any render thread, in any order, and at
+either decision dtype.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.attacks import (
     render_attack_captures,
 )
 from repro.dsp.precision import precision
-from repro.runtime import render_captures, set_shm_enabled, shm_enabled
+from repro.runtime import render_captures
 
 FS = 48_000
 
@@ -70,23 +70,10 @@ class TestRenderDeterminism:
         for a, b in zip(first, second):
             assert np.array_equal(a.channels, b.channels)
 
-    def test_serial_vs_pool_identical(self):
+    def test_serial_vs_pool_identical(self, two_workers):
         tasks = attack_render_tasks(_scenario("tdoa-replay", 3.0), n_utterances=3)
         serial = render_captures(tasks, workers=1)
         pooled = render_captures(tasks, workers=2)
-        for s, p in zip(serial, pooled):
-            assert np.array_equal(s.channels, p.channels)
-
-    @pytest.mark.parametrize("shm", [False, True])
-    def test_pool_identical_with_and_without_shm(self, shm):
-        previous = shm_enabled()
-        set_shm_enabled(shm)
-        try:
-            tasks = attack_render_tasks(_scenario(), n_utterances=2)
-            serial = render_captures(tasks, workers=1)
-            pooled = render_captures(tasks, workers=2)
-        finally:
-            set_shm_enabled(previous)
         for s, p in zip(serial, pooled):
             assert np.array_equal(s.channels, p.channels)
 

@@ -1,8 +1,8 @@
 """Determinism properties of fault injection and its env plumbing.
 
 The layer's contract: corruption is a pure function of (scenario,
-capture content) — identical in any process, in any order, on the
-serial and the pool path alike.
+capture content) — identical on any thread, in any order, on the
+serial and the threaded path alike.
 """
 
 import numpy as np
@@ -78,7 +78,7 @@ class TestScenarioDeterminism:
 
 
 class TestSerialPoolIdentity:
-    def test_faulted_render_identical_serial_vs_pool(self):
+    def test_faulted_render_identical_serial_vs_pool(self, two_workers):
         tasks = [task for _, task in render_tasks(SPEC)]
         with injected(preset_scenario("kitchen-sink", seed=5)):
             serial = render_captures(tasks, workers=1)

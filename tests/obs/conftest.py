@@ -18,7 +18,6 @@ from repro.obs import (
     clear_profiles,
     clear_spans,
     observed,
-    reset_worker_totals,
     set_obs_enabled,
     set_profiling_enabled,
 )
@@ -32,7 +31,6 @@ def _reset_obs_state():
     set_profiling_enabled(False)
     clear_spans()
     REGISTRY.reset()
-    reset_worker_totals()
     clear_profiles()
     audit_log().clear()
     # Restore the env-derived sink, not None: the instrumented CI leg

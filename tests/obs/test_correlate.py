@@ -1,4 +1,4 @@
-"""Correlation ids: context-local binding, audit/span/worker attachment."""
+"""Correlation ids: context-local binding, audit/span attachment."""
 
 import asyncio
 
@@ -12,7 +12,6 @@ from repro.obs import (
     span,
     span_records,
 )
-from repro.obs.workers import ObsContext, current_context, init_worker
 
 
 class TestBinding:
@@ -75,12 +74,3 @@ class TestAttachment:
         by_name = {record.name: dict(record.labels) for record in span_records()}
         assert by_name["gate.decision"]["corr"] == "s0-u0005"
         assert "corr" not in by_name["uncorrelated"]
-
-    def test_worker_context_ships_the_binding(self):
-        set_obs_enabled(True)
-        with correlated("s0-u0007"):
-            context = current_context()
-        assert context.correlation == "s0-u0007"
-        # Worker side: init_worker installs the parent's binding.
-        init_worker(ObsContext(enabled=True, run_id=None, correlation="s0-u0007"))
-        assert correlation_id() == "s0-u0007"

@@ -79,7 +79,6 @@ class TestEndpoints:
         assert health["status"] == "ok" and health["sessions"] == 0
         ready = json.loads(out["/readyz"][2])
         assert ready["ready"] is True and ready["admission"]["open"] is True
-        assert ready["pool"]["pool"] == "none"
         assert json.loads(out["/sessions"][2]) == {"sessions": []}
         alarms = json.loads(out["/alarms"][2])
         assert alarms["active"] == [] and alarms["history"] == []
@@ -226,7 +225,6 @@ class TestWatch:
             {
                 "ready": False,
                 "admission": {"sessions": 2, "max_sessions": 2, "open": False},
-                "pool": {"pool": "none"},
             },
             {
                 "sessions": [
@@ -261,7 +259,7 @@ class TestWatch:
         frame = render_dashboard(
             "http://x:1",
             {"status": "ok", "uptime_s": 1.0},
-            {"ready": True, "admission": {}, "pool": {}},
+            {"ready": True, "admission": {}},
             {"sessions": []},
             {"active": []},
         )
@@ -341,7 +339,7 @@ class TestCorrelation:
         serving = next(r for r in trace if r["event"] == "serving")
         assert decision["accepted"] == first["decision"]["accepted"]
         assert serving["utterance_id"] == uid
-        assert "worker_cache" in decision  # pool-worker telemetry rides along
+        assert "cache" in decision  # render-cache counters ride along
         # Nothing from utterance 2 leaked into utterance 1's trace.
         assert all(r.get("utterance", 1) == 1 for r in trace)
 

@@ -1,4 +1,4 @@
-"""The per-call thread fan-out behind the batch decision entry points."""
+"""The per-call thread fan-out behind the batch renderer and decision entry points."""
 
 import os
 import threading
@@ -32,6 +32,8 @@ class TestFanOut:
     def test_inline_below_two_workers(self, monkeypatch):
         caller = threading.current_thread().name
         assert fan_out(_thread_name, ["one"]) == [caller]
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
+        assert fan_out(_thread_name, range(4), max_workers=1) == [caller] * 4
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
         assert fan_out(_thread_name, range(4)) == [caller] * 4
 

@@ -5,19 +5,23 @@ warm-cache paths all produce byte-identical captures — and therefore
 identical pipeline ``Decision``s.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.datasets import CollectionSpec
 from repro.datasets.collection import collect, render_tasks
+from repro.faults import injected, preset_scenario
+from repro.obs import REGISTRY, clear_spans, observed, span_records
 from repro.runtime import (
     RenderTask,
     cache_stats,
     clear_caches,
     execute_render_task,
+    fanout,
     render_captures,
     set_cache_enabled,
-    worker_pool,
 )
 
 SPEC = CollectionSpec(
@@ -67,7 +71,7 @@ class TestRenderTask:
 
 
 class TestSerialParallelEquivalence:
-    def test_parallel_bytes_identical(self):
+    def test_parallel_bytes_identical(self, two_workers):
         tasks = _tasks()
         serial = render_captures(tasks, workers=1)
         parallel = render_captures(tasks, workers=2)
@@ -76,97 +80,23 @@ class TestSerialParallelEquivalence:
             assert a.sample_rate == b.sample_rate
             assert np.array_equal(a.channels, b.channels)
 
-    def test_parallel_with_interference_identical(self):
+    def test_parallel_with_interference_identical(self, two_workers):
         tasks = _tasks(NOISE_SPEC)
         serial = render_captures(tasks, workers=1)
         parallel = render_captures(tasks, workers=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.channels, b.channels)
 
-    def test_collect_workers_identical(self):
+    def test_collect_workers_identical(self, two_workers):
         serial = [c.channels for _, c in collect(SPEC, workers=1)]
         parallel = [c.channels for _, c in collect(SPEC, workers=2)]
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
 
-    def test_worker_pool_sets_default(self):
-        from repro.runtime import default_workers
-
-        assert default_workers() == 1
-        with worker_pool(3):
-            assert default_workers() == 3
-        assert default_workers() == 1
-
-    def test_malformed_env_warns_once_and_falls_back(self, monkeypatch):
-        import warnings
-
-        from repro.runtime import batch
-
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "two")
-        monkeypatch.setattr(batch, "_WARNED_BAD_WORKERS", False)
-        with pytest.warns(RuntimeWarning, match="REPRO_RENDER_WORKERS='two'"):
-            assert batch.default_workers() == 1
-        # The warning is one-time: later calls stay silent (and serial).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert batch.default_workers() == 1
-
     def test_empty_and_invalid(self):
         assert render_captures([]) == []
         with pytest.raises(ValueError, match="workers"):
             render_captures(_tasks(), workers=0)
-
-
-class TestPersistentPool:
-    def test_pool_scoped_and_workers_defaulted(self):
-        from repro.runtime import active_pool, default_workers, persistent_pool
-
-        assert active_pool() is None
-        with persistent_pool(2):
-            assert active_pool() is not None
-            assert default_workers() == 2
-        assert active_pool() is None
-        assert default_workers() == 1
-
-    def test_renders_identical_through_reused_pool(self):
-        from repro.runtime import persistent_pool
-
-        tasks = _tasks()
-        serial = render_captures(tasks, workers=1)
-        with persistent_pool(2):
-            first = render_captures(tasks, workers=2)
-            second = render_captures(tasks)  # workers defaulted by the pool scope
-        for a, b, c in zip(serial, first, second):
-            assert np.array_equal(a.channels, b.channels)
-            assert np.array_equal(a.channels, c.channels)
-
-    def test_requires_at_least_two_workers(self):
-        from repro.runtime import persistent_pool
-
-        with pytest.raises(ValueError, match="workers"):
-            with persistent_pool(1):
-                pass
-
-    def test_broken_pool_never_handed_out(self):
-        """A pool that breaks inside the scope is cleared, not re-served."""
-        import os
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.runtime import active_pool, persistent_pool
-
-        tasks = _tasks()
-        serial = render_captures(tasks, workers=1)
-        with persistent_pool(2) as pool:
-            assert active_pool() is pool
-            with pytest.raises(BrokenProcessPool):
-                pool.submit(os._exit, 1).result()
-            assert active_pool() is None
-            # Renders keep working: a fresh pool is built transparently.
-            pooled = render_captures(tasks)
-            for s, p in zip(serial, pooled):
-                assert np.array_equal(s.channels, p.channels)
-        assert active_pool() is None
 
 
 class TestColdWarmEquivalence:
@@ -225,7 +155,7 @@ class TestDecisionEquivalence:
         liveness.fit(waveforms, labels, 48_000)
         return HeadTalkPipeline(array=d2_subset, liveness=liveness, orientation=trained_detector)
 
-    def test_all_paths_same_decisions(self, pipeline):
+    def test_all_paths_same_decisions(self, pipeline, two_workers):
         tasks = _tasks()
         serial_cold = render_captures(tasks, workers=1)
         serial_warm = render_captures(tasks, workers=1)
@@ -241,38 +171,43 @@ class TestDecisionEquivalence:
             assert got.fingerprint() == ref.fingerprint()
 
 
-class TestShmDispatch:
-    """Shared-memory waveform transport must not change a single byte."""
+class TestRenderOnThreads:
+    """Threaded renders stay byte-identical to serial under contention.
 
-    @pytest.fixture(autouse=True)
-    def _restore_shm(self):
-        from repro.runtime import set_shm_enabled, shm_enabled
+    More threads than cores, switching every microsecond, from cold
+    caches: every scene renders twice, so threads race to miss and fill
+    the same RIR and dry-render entries, and each thread reads the
+    ambient fault scenario on its own.
+    """
 
-        previous = shm_enabled()
-        yield
-        set_shm_enabled(previous)
-
-    def test_shm_and_pickled_pool_identical(self):
-        from repro.runtime import set_shm_enabled
-
-        tasks = _tasks(NOISE_SPEC)
-        serial = render_captures(tasks, workers=1)
-        set_shm_enabled(True)
-        with_shm = render_captures(tasks, workers=2)
-        set_shm_enabled(False)
-        without_shm = render_captures(tasks, workers=2)
-        for a, b, c in zip(serial, with_shm, without_shm):
-            assert a.channels.tobytes() == b.channels.tobytes()
-            assert a.channels.tobytes() == c.channels.tobytes()
-            assert a.channels.dtype == b.channels.dtype == c.channels.dtype
-
-    def test_no_segments_leak(self):
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
-        render_captures(_tasks(), workers=2)
-        after = set(glob.glob("/dev/shm/psm_*"))
-        assert after <= before
+    @pytest.mark.parametrize("obs", [False, True], ids=["obs-off", "obs-on"])
+    def test_many_threads_at_a_short_switch_interval(self, obs, monkeypatch):
+        tasks = _tasks() + _tasks(NOISE_SPEC)
+        tasks = tasks + tasks[::-1]
+        with injected(preset_scenario("kitchen-sink", seed=5)):
+            serial = render_captures(tasks, workers=1)
+            clear_caches()
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
+            with observed(obs):
+                REGISTRY.reset()
+                clear_spans()
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    threaded = render_captures(tasks)
+                finally:
+                    sys.setswitchinterval(interval)
+                snapshot = REGISTRY.snapshot()
+                records = span_records("runtime.render_task")
+                clear_spans()
+        assert [c.channels.tobytes() for c in threaded] == [c.channels.tobytes() for c in serial]
+        if obs:
+            assert len(records) == len(tasks)
+            assert {r.parent for r in records} == {"runtime.render_captures"}
+        else:
+            # The disabled path records nothing, on any thread.
+            assert snapshot == {}
+            assert records == []
 
 
 class TestCacheEnvParsing:

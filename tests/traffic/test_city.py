@@ -202,7 +202,7 @@ class TestAttackMix:
 
 
 class TestCaptureBank:
-    def test_bank_covers_the_taxonomy_and_renders_identically_serial_vs_pool(self):
+    def test_bank_covers_the_taxonomy_and_renders_identically_serial_vs_pool(self, two_workers):
         config = TrafficConfig(households=1, seed=0, variants=1, rooms=("lab",))
         serial = CaptureBank(config)
         serial.render(workers=1)
@@ -243,7 +243,7 @@ class TestCaptureBank:
             ("lab", source, 0) for source in ATTACK_SOURCES
         }
 
-    def test_attack_archetypes_render_identically_serial_vs_pool(self):
+    def test_attack_archetypes_render_identically_serial_vs_pool(self, two_workers):
         config = TrafficConfig(
             households=1, seed=0, variants=1, rooms=("lab",), attack_mix=0.2
         )
