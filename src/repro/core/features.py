@@ -28,7 +28,6 @@ from ..dsp.gcc import pairwise_gcc, pairwise_gcc_batch
 from ..dsp.precision import resolve_dtype
 from ..dsp.spectral import high_low_band_ratio, low_band_chunk_stats
 from ..dsp.stats import summary_vector, top_k_peaks, window_score
-from ..dsp.stft import mean_power_spectrum
 from ..obs.spans import span
 from ..runtime.fanout import fan_out
 from ..runtime.plan import plan_for
@@ -138,13 +137,12 @@ def directivity_consistency(audio: DenoisedAudio) -> float:
     spread (degenerate or clipped captures — normal captures measure
     ~1 dB at this aperture) is penalized as a sanity guard.
     """
-    channels = np.asarray(audio.channels, dtype=float)
-    if channels.ndim != 2:
-        raise ValueError(f"expected a channel matrix, got shape {channels.shape}")
+    shape = np.shape(audio.channels)
+    if len(shape) != 2:
+        raise ValueError(f"expected a channel matrix, got shape {shape}")
     ratios_db = []
-    for channel in channels:
-        freqs, power = mean_power_spectrum(channel, audio.sample_rate)
-        ratio = high_low_band_ratio(freqs, power)
+    for channel in range(shape[0]):
+        ratio = high_low_band_ratio(*audio.spectrum(channel))
         ratios_db.append(10.0 * np.log10(max(ratio, 1e-12)))
     mean_score = window_score(float(np.mean(ratios_db)), _HLBR_WINDOW_DB)
     spread_db = float(np.max(ratios_db) - np.min(ratios_db))
@@ -319,7 +317,7 @@ class OrientationFeatureExtractor:
         srp_stats = summary_vector(srp)
         gcc_stats = summary_vector(gcc if alive_rows is None else gcc[alive_rows])
 
-        freqs, power = mean_power_spectrum(audio.reference, audio.sample_rate)
+        freqs, power = audio.spectrum(audio.reference_channel)
         hlbr = high_low_band_ratio(freqs, power)
         chunks = low_band_chunk_stats(freqs, power, n_chunks=N_LOW_BAND_CHUNKS)
 

@@ -261,7 +261,12 @@ class LivenessCues:
     score: float
 
 
-def liveness_cues(audio: np.ndarray, sample_rate: int) -> LivenessCues:
+def liveness_cues(
+    audio: np.ndarray,
+    sample_rate: int,
+    *,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+) -> LivenessCues:
     """Physics-cue summary of one utterance (all scores in [0, 1]).
 
     - ``decay_score`` — the 2–12 kHz spectral decay slope, the Figure-3
@@ -272,8 +277,11 @@ def liveness_cues(audio: np.ndarray, sample_rate: int) -> LivenessCues:
       replay chain leaves distortion residue or a static noise floor
       (boosted or not);
     - ``score`` — the combined single-channel cue score.
+
+    ``spectrum`` is the utterance's mean power spectrum when the caller
+    already holds it (see :func:`repro.dsp.spectral.spectral_contrast`).
     """
-    contrast = spectral_contrast(np.asarray(audio, dtype=float), sample_rate)
+    contrast = spectral_contrast(np.asarray(audio, dtype=float), sample_rate, spectrum=spectrum)
     decay_score = _ramp(contrast.decay_db_per_octave, *_DECAY_WINDOW_DB)
     bands = band_confidences(audio, sample_rate)
     residual = bands[-_RESIDUAL_BANDS:] if bands else ()
@@ -343,9 +351,23 @@ class FusedLivenessDetector:
         self.base.incremental_fit(waveforms, labels, sample_rate, epochs=epochs)
         return self
 
-    def cue_scores(self, waveforms: list[np.ndarray], sample_rate: int) -> np.ndarray:
-        """Single-channel cue score per utterance."""
-        return np.asarray([cue_score(w, sample_rate) for w in waveforms], dtype=float)
+    def cue_scores(
+        self, waveforms: list[np.ndarray], sample_rate: int, spectra: list | None = None
+    ) -> np.ndarray:
+        """Single-channel cue score per utterance.
+
+        ``spectra`` holds each waveform's mean power spectrum when the
+        caller already has them (see :func:`liveness_cues`).
+        """
+        if spectra is None:
+            spectra = [None] * len(waveforms)
+        return np.asarray(
+            [
+                liveness_cues(w, sample_rate, spectrum=spectrum).score
+                for w, spectrum in zip(waveforms, spectra)
+            ],
+            dtype=float,
+        )
 
     def scores(self, waveforms: list[np.ndarray], sample_rate: int) -> np.ndarray:
         """Fused P(live human) per utterance — single-channel path."""
@@ -369,7 +391,10 @@ class FusedLivenessDetector:
         sample_rate = audios[0].sample_rate
         references = [a.reference for a in audios]
         net = self.base.scores(references, sample_rate)
-        cues = self.cue_scores(references, sample_rate)
+        # The reference spectrum is shared with directivity consistency
+        # and the orientation features through the utterance's memo.
+        spectra = [a.spectrum(a.reference_channel) for a in audios]
+        cues = self.cue_scores(references, sample_rate, spectra)
         if extractor is None:
             cue_share = self.cue_weight + self.array_weight
             return (1.0 - cue_share) * net + cue_share * cues

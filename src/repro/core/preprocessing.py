@@ -15,13 +15,14 @@ into the feature extractors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..acoustics.propagation import Capture
 from ..dsp.filters import headtalk_bandpass
 from ..dsp.precision import resolve_dtype
+from ..dsp.stft import mean_power_spectrum
 from ..dsp.vad import detect_activity
 from ..obs.spans import span
 
@@ -137,12 +138,18 @@ def screen_channels(
 
 @dataclass(frozen=True)
 class DenoisedAudio:
-    """Output of the preprocessing block."""
+    """Output of the preprocessing block.
+
+    :meth:`spectrum` memoizes each channel's mean power spectrum, so the
+    consumers of one utterance (the liveness cue score, directivity
+    consistency and the orientation features) share one transform.
+    """
 
     channels: np.ndarray
     sample_rate: int
     had_speech: bool
     health: ChannelHealth | None = None
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def reference_channel(self) -> int:
@@ -161,6 +168,22 @@ class DenoisedAudio:
     def reference(self) -> np.ndarray:
         """The reference channel (used for single-channel liveness input)."""
         return self.channels[self.reference_channel]
+
+    def spectrum(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
+        """``mean_power_spectrum`` of one channel, computed once per dtype.
+
+        Returns the shared read-only ``(freqs_hz, power)`` pair, in the
+        decision dtype resolved at the call (see
+        :mod:`repro.dsp.precision`).
+        """
+        key = (channel, resolve_dtype(None))
+        spectrum = self._spectra.get(key)
+        if spectrum is None:
+            spectrum = mean_power_spectrum(self.channels[channel], self.sample_rate)
+            for array in spectrum:
+                array.flags.writeable = False
+            self._spectra[key] = spectrum
+        return spectrum
 
 
 def preprocess(
@@ -186,9 +209,9 @@ def preprocess(
 
     The output channels are cast to the resolved decision dtype (see
     :mod:`repro.dsp.precision`) — a no-op on the float64 default.  The
-    fifth-order Butterworth itself always filters in float64:
-    ``sosfiltfilt`` on an order-5 band-pass is numerically fragile in
-    single precision, and the filter is not the hot cost.
+    fifth-order Butterworth itself always filters in float64: a
+    zero-phase order-5 band-pass is numerically fragile in single
+    precision, and the filter is not the hot cost.
     """
     channels = capture.channels
     health: ChannelHealth | None = None

@@ -3,8 +3,9 @@
 :class:`StreamingDecider` is :meth:`HeadTalkPipeline.evaluate` unrolled
 over a live PCM stream.  Audio arrives chunk by chunk; every chunk is
 health-screened, buffered, and folded into the accumulated per-frame
-GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`, batched
-through the geometry's cached :class:`~repro.runtime.plan.ArrayPlan`).
+GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`, over the
+pairs and lag window of the geometry's cached
+:class:`~repro.runtime.plan.ArrayPlan`).
 Once enough frames have arrived, the decider re-runs the real pipeline
 stages on the buffered *prefix* — the same preprocessing, liveness
 model and orientation extractor the batch path uses, just on a shorter

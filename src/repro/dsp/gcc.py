@@ -23,8 +23,7 @@ hot path.  Granularities, coarse to fine:
 - :func:`pairwise_gcc` — all pairs of one capture;
 - :func:`pairwise_gcc_batch` — all pairs of *many captures*;
 - :func:`pairwise_gcc_frames` / :func:`pairwise_gcc_framewise` — all
-  *frames* x pairs of one capture (the API the streaming gateway
-  consumes).
+  *frames* x pairs of one capture.
 
 The two capture entry points run one kernel (one ``rfft`` per capture,
 then whitening and ``irfft`` one (capture, pair) row at a time), so
@@ -36,7 +35,10 @@ bins) and with another, rounding differently, for shorter rows, for
 products over stacked rows and for ``out=`` writes.  A fresh 1-D
 product per row, whitened in place, is the only form that rounds the
 same way for every batch shape.  Frames keep the stacked whitening
-instead (see :func:`_frame_gcc`).
+instead (see :func:`_frame_gcc`), except in the streaming accumulator,
+which whitens one frame at a time and inverts the running sum of
+whitened cross-spectra only when it is read (see
+:func:`_frame_cross_spectra`).
 """
 
 from __future__ import annotations
@@ -331,18 +333,43 @@ def _frame_gcc(
     n_fft = _fft_length(2 * frames.shape[2], max_lag)
     i_idx = np.array([i for i, _ in pairs])
     j_idx = np.array([j for _, j in pairs])
-    fft = fft_api(dtype)
-    spectra = fft.rfft(frames, n_fft, axis=-1)  # (n_frames, n_mics, nf)
+    spectra = fft_api(dtype).rfft(frames, n_fft, axis=-1)  # (n_frames, n_mics, nf)
     # Here the frame and capture paths split: frames whiten all
     # (frame, pair) rows in one stacked product, not row by row as
-    # :func:`_capture_gcc` does.  Frame windows feed only the streaming
-    # SRP-stability gate, never a decision fingerprint, so they need not
-    # round like the capture kernel; and the stacked product kept more
-    # of the batched transform's lead over a per-frame loop in
-    # benchmarks/test_bench_decision.py (median speedup 1.30 against
-    # 1.21 row by row, 4 runs each on a 2-vCPU Xeon VM).
+    # :func:`_capture_gcc` does.  Frame windows never feed a decision
+    # fingerprint, so they need not round like the capture kernel; and
+    # the stacked product kept more of the batched transform's lead over
+    # a per-frame loop in benchmarks/test_bench_decision.py (median
+    # speedup 1.30 against 1.21 row by row, 4 runs each on a 2-vCPU
+    # Xeon VM).
     cross = _whiten(spectra[:, i_idx], spectra[:, j_idx])
-    return _lag_window(fft.irfft(cross, n_fft, axis=-1), max_lag)
+    return _cross_to_lags(cross, n_fft, max_lag, dtype)
+
+
+def _frame_cross_spectra(
+    frame: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray, n_fft: int, dtype
+) -> np.ndarray:
+    """PHAT-whitened cross-spectra of one frame, ``(n_pairs, n_fft // 2 + 1)``.
+
+    The per-frame transform behind
+    :class:`repro.dsp.streaming.GccAccumulator`: one ``rfft`` of the
+    ``(n_mics, frame_length)`` frame, then the frame's pair rows
+    whitened together.  ``irfft`` is linear and the lag window a
+    selection, so the lag windows of a sum of these spectra
+    (:func:`_cross_to_lags`) equal the sum of the frames' lag windows up
+    to rounding, while one inverse transform serves any number of
+    frames.  One frame at a time keeps the working set small: the
+    stacked kernel (:func:`_frame_gcc`) cost 0.91-0.96 ms per frame on
+    eight 2,048-sample, 4-mic frames at once against 0.47-0.54 ms on
+    one (6 pairs, 2-vCPU Xeon VM, numpy 2.4).
+    """
+    spectra = fft_api(dtype).rfft(frame, n_fft, axis=-1)
+    return _whiten(spectra[i_idx], spectra[j_idx])
+
+
+def _cross_to_lags(cross: np.ndarray, n_fft: int, max_lag: int, dtype) -> np.ndarray:
+    """Lag windows ``(..., 2 * max_lag + 1)`` of whitened cross-spectra."""
+    return _lag_window(fft_api(dtype).irfft(cross, n_fft, axis=-1), max_lag)
 
 
 def pairwise_gcc_frames(
@@ -364,9 +391,8 @@ def pairwise_gcc_frames(
     over all rows stacked, which numpy may round differently from the
     capture kernel's row-by-row products (see the module docstring).
 
-    This is the hot call of the incremental (streaming) decision path:
-    orientation evidence per short frame, early-exit capable, instead of
-    one whole-utterance correlation.
+    Orientation evidence per short frame, instead of one
+    whole-utterance correlation.
 
     Returns
     -------
@@ -387,11 +413,11 @@ def pairwise_gcc_framewise(
 ) -> np.ndarray:
     """:func:`pairwise_gcc_frames` over already-extracted frames.
 
-    The incremental entry point: streaming callers
-    (:class:`repro.dsp.streaming.GccAccumulator`) slice their own frames
-    from a live carry buffer and batch-correlate each newly completed
-    group here, so a session accumulates evidence chunk by chunk through
-    the same transforms the offline path uses.
+    The incremental entry point for callers that slice their own frames
+    (e.g. with :class:`repro.dsp.streaming.FrameFeed`) and want each
+    frame's lag windows.  The streaming accumulator needs only their
+    sum, so it keeps whitened cross-spectra instead and inverts once
+    per read.
 
     Parameters
     ----------

@@ -102,15 +102,24 @@ class SpectralContrast:
 
 
 def spectral_contrast(
-    signal: np.ndarray, sample_rate: int, split_hz: float = 4000.0
+    signal: np.ndarray,
+    sample_rate: int,
+    split_hz: float = 4000.0,
+    *,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SpectralContrast:
     """Quantify high-frequency content relative to the sub-4 kHz body.
 
     Live human speech keeps measurable structured energy above ~4 kHz
     while loudspeaker replay rolls off faster; ``high_fraction`` and the
-    fitted log-log decay slope capture that contrast.
+    fitted log-log decay slope capture that contrast.  ``spectrum`` is
+    the signal's ``mean_power_spectrum(signal, sample_rate)`` when the
+    caller already holds it (see
+    :meth:`repro.core.preprocessing.DenoisedAudio.spectrum`).
     """
-    freqs, power = mean_power_spectrum(signal, sample_rate)
+    if spectrum is None:
+        spectrum = mean_power_spectrum(signal, sample_rate)
+    freqs, power = spectrum
     below = float(power[band_mask(freqs, (100.0, split_hz))].sum())
     above_band = (split_hz, min(16_000.0, sample_rate / 2.0))
     above = float(power[band_mask(freqs, above_band)].sum())

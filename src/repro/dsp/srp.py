@@ -96,9 +96,7 @@ def srp_phat_map(
 ) -> np.ndarray:
     """Steered power for a grid of candidate source positions.
 
-    Used for classic localization and by the propagation-insight
-    experiment (steered power toward 0, 90 and 180 degrees).  The GCC
-    stack is computed once and shared by every hypothesis via
+    The GCC stack is computed once and shared by every hypothesis via
     :func:`srp_phat_at_delays`.
     """
     cands = np.asarray(candidate_positions, dtype=float)

@@ -1,6 +1,13 @@
-"""Short-time Fourier analysis."""
+"""Short-time Fourier analysis.
+
+Frames and windows come shared and read-only from
+:mod:`repro.dsp.windows`; :func:`log_mel_like_features` designs its
+triangular filterbank once per geometry.
+"""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +90,15 @@ def log_mel_like_features(
     if not 0 < fmin < fmax <= sample_rate / 2.0:
         raise ValueError(f"need 0 < fmin < fmax <= Nyquist, got {fmin}, {fmax}")
     power = power_spectrogram(signal, frame_length, hop_length, dtype=np.float64)
+    energies = power @ _filterbank(sample_rate, n_bands, frame_length, fmin, fmax).T
+    return np.log(energies + 1e-10)
+
+
+@lru_cache(maxsize=16)
+def _filterbank(
+    sample_rate: int, n_bands: int, frame_length: int, fmin: float, fmax: float
+) -> np.ndarray:
+    """The read-only ``(n_bands, frame_length // 2 + 1)`` triangular filterbank."""
     freqs = np.fft.rfftfreq(frame_length, d=1.0 / sample_rate)
     centers = np.geomspace(fmin, fmax, n_bands + 2)
     bank = np.zeros((n_bands, freqs.size))
@@ -91,5 +107,5 @@ def log_mel_like_features(
         rising = (freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - freqs) / max(hi - mid, 1e-12)
         bank[b] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    energies = power @ bank.T
-    return np.log(energies + 1e-10)
+    bank.flags.writeable = False
+    return bank

@@ -8,12 +8,12 @@ same frame-granular evidence incrementally:
   exact frame boundaries :func:`repro.dsp.gcc.extract_frames` would cut
   from the concatenated signal — a carry buffer holds the partial tail,
   so the emitted frames are invariant to how the stream was chunked;
-- :class:`GccAccumulator` feeds each newly completed group of frames
-  through :func:`repro.dsp.gcc.pairwise_gcc_framewise` (one batched
-  rfft/irfft per push, with the frame kernel's stacked whitening) and
-  keeps the running per-pair correlation sum, from which callers read
-  cheap per-frame evidence: the accumulated SRP curve, its peak lag,
-  and per-pair TDoA lags.  That evidence drives the streaming
+- :class:`GccAccumulator` whitens each newly completed frame's pair
+  cross-spectra (one rfft per frame) and keeps their running per-pair
+  sum.  Callers read the evidence through one irfft of that sum, made
+  on the first read after a push and cached until the next: the
+  accumulated per-pair correlation windows, the SRP curve, its peak
+  lag, and per-pair TDoA lags.  That evidence drives the streaming
   decider's SRP-stability gate only; decisions are made from the
   capture kernel's whole-utterance GCC matrix.
 
@@ -25,7 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gcc import _validate_pairs, extract_frames, pairwise_gcc_framewise
+from .gcc import (
+    _cross_to_lags,
+    _fft_length,
+    _frame_cross_spectra,
+    _validate_pairs,
+    extract_frames,
+)
 from .precision import resolve_dtype
 
 
@@ -99,15 +105,15 @@ class FrameFeed:
 class GccAccumulator:
     """Running per-pair GCC-PHAT evidence over a streamed capture.
 
-    Each push batches the newly completed frames through one
-    rfft/irfft (:func:`repro.dsp.gcc.pairwise_gcc_framewise`) and adds
-    their correlation windows to ``gcc_sum``.  After ``n`` frames,
-    ``gcc_sum / n`` matches the mean over
+    Each push whitens the newly completed frames' pair cross-spectra,
+    one frame at a time, and adds them to a running per-pair sum of
+    ``n_fft // 2 + 1`` bins.  :attr:`gcc_sum` inverts that sum once per
+    read after a push (the inverse is cached until the next push).
+    After ``n`` frames, ``gcc_sum / n`` matches the mean over
     ``pairwise_gcc_frames(stream, ..., pad=False)`` of the concatenated
-    signal to within a unit in the last place: the transforms are the
-    same, but the frame kernel whitens each push's rows stacked, and
-    numpy may round a stacked product differently for different stack
-    sizes (see :mod:`repro.dsp.gcc`).
+    signal to within a few units in the last place: the transforms are
+    the same and ``irfft`` is linear, but summing spectra before the
+    inverse rounds differently from summing windows after it.
     """
 
     def __init__(
@@ -126,21 +132,42 @@ class GccAccumulator:
         self.max_lag = int(max_lag)
         self.dtype = resolve_dtype(dtype)
         self.feed = FrameFeed(n_mics, frame_length, hop_length, dtype=self.dtype)
-        self.gcc_sum = np.zeros((len(self.pairs), 2 * self.max_lag + 1), dtype=self.dtype)
         self.n_frames = 0
+        self._n_fft = _fft_length(2 * self.feed.frame_length, self.max_lag)
+        self._i_idx = np.array([i for i, _ in self.pairs])
+        self._j_idx = np.array([j for _, j in self.pairs])
+        self._cross_sum = np.zeros(
+            (len(self.pairs), self._n_fft // 2 + 1),
+            dtype=np.result_type(self.dtype, np.complex64),
+        )
+        self._gcc_sum: np.ndarray | None = None
 
     @property
     def samples_seen(self) -> int:
         """Total samples pushed (including any carried tail)."""
         return self.feed.samples_seen
 
+    @property
+    def gcc_sum(self) -> np.ndarray:
+        """Per-pair sum of the frames' correlation windows (read-only).
+
+        ``(n_pairs, 2 * max_lag + 1)``; zeros before the first frame.
+        """
+        if self._gcc_sum is None:
+            self._gcc_sum = _cross_to_lags(self._cross_sum, self._n_fft, self.max_lag, self.dtype)
+            self._gcc_sum.flags.writeable = False
+        return self._gcc_sum
+
     def push(self, chunk: np.ndarray) -> int:
         """Absorb one chunk; return how many new frames were accumulated."""
         frames = self.feed.push(chunk)
+        for frame in frames:
+            self._cross_sum += _frame_cross_spectra(
+                frame, self._i_idx, self._j_idx, self._n_fft, self.dtype
+            )
         if frames.shape[0]:
-            windows = pairwise_gcc_framewise(frames, self.pairs, self.max_lag, dtype=self.dtype)
-            self.gcc_sum += windows.sum(axis=0)
             self.n_frames += frames.shape[0]
+            self._gcc_sum = None
         return int(frames.shape[0])
 
     def mean_gcc(self) -> np.ndarray:

@@ -1,26 +1,45 @@
-"""Analysis windows and frame slicing for short-time processing."""
+"""Analysis windows and frame slicing for short-time processing.
+
+Windows are designed once per length and shared as read-only arrays,
+and frames are read-only strided views of the signal rather than
+gathered copies: the short-time analyses (:mod:`repro.dsp.stft`, the
+VAD) only ever read them.
+"""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .precision import resolve_dtype
 
 
-def hann(length: int) -> np.ndarray:
-    """Periodic Hann window of the given length (suitable for STFT)."""
+@lru_cache(maxsize=32)
+def _cosine_window(length: int, a0: float, a1: float) -> np.ndarray:
     if length < 1:
         raise ValueError("window length must be >= 1")
     n = np.arange(length)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
+    window = a0 - a1 * np.cos(2.0 * np.pi * n / length)
+    window.flags.writeable = False
+    return window
+
+
+def hann(length: int) -> np.ndarray:
+    """Periodic Hann window of the given length (suitable for STFT).
+
+    Designed once per length; the returned array is shared and read-only.
+    """
+    return _cosine_window(length, 0.5, 0.5)
 
 
 def hamming(length: int) -> np.ndarray:
-    """Periodic Hamming window of the given length."""
-    if length < 1:
-        raise ValueError("window length must be >= 1")
-    n = np.arange(length)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length)
+    """Periodic Hamming window of the given length.
+
+    Designed once per length; the returned array is shared and read-only.
+    """
+    return _cosine_window(length, 0.54, 0.46)
 
 
 def get_window(name: str, length: int) -> np.ndarray:
@@ -43,7 +62,9 @@ def frame_signal(
     Returns an array of shape ``(n_frames, frame_length)`` in the
     resolved decision dtype.  When ``pad`` is true the tail is
     zero-padded so no samples are dropped; otherwise only complete
-    frames are returned.
+    frames are returned.  The frames are a read-only strided view of
+    the signal (or of its zero-padded or dtype-cast copy), not a copy:
+    copy them before writing.
     """
     dtype = resolve_dtype(dtype)
     x = np.asarray(signal, dtype=dtype)
@@ -62,5 +83,4 @@ def frame_signal(
         n_frames = 1 + (x.size - frame_length) // hop_length if x.size >= frame_length else 0
         if n_frames <= 0:
             return np.zeros((0, frame_length), dtype=dtype)
-    idx = np.arange(frame_length)[None, :] + hop_length * np.arange(n_frames)[:, None]
-    return x[idx]
+    return sliding_window_view(x, frame_length)[: (n_frames - 1) * hop_length + 1 : hop_length]

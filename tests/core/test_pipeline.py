@@ -137,6 +137,36 @@ class TestDecisions:
         assert decision.detail.startswith("sample-rate:")
 
 
+class TestBandpassBoundary:
+    """A capture of exactly the band-pass padlen (33 samples) fails closed
+    like its neighbours instead of raising out of the zero-phase filter.
+
+    Liveness is skipped so the orientation stage, which needs more
+    samples than these, is what judges them.
+    """
+
+    @staticmethod
+    def _short(capture, n):
+        return Capture(channels=capture.channels[:, 20_000 : 20_000 + n], sample_rate=FS)
+
+    @pytest.mark.parametrize("n", [32, 33, 34])
+    def test_short_capture_fails_closed(self, pipeline, forward_capture, n):
+        decision = pipeline.evaluate(self._short(forward_capture, n), check_liveness=False)
+        assert not decision.accepted
+        assert decision.reason == REJECT_DEGRADED_INPUT
+        assert decision.detail == "feature-error:utterance too short for correlation analysis"
+
+    def test_batch_still_judges_the_other_capture(self, pipeline, forward_capture):
+        captures = [self._short(forward_capture, 33), forward_capture]
+        short, full = pipeline.evaluate_batch(captures, check_liveness=False).decisions
+        assert short.reason == REJECT_DEGRADED_INPUT
+        solo = pipeline.evaluate(forward_capture, check_liveness=False)
+        assert full.fingerprint() == solo.fingerprint()
+
+    def test_liveness_on_still_decides(self, pipeline, forward_capture):
+        assert not pipeline.evaluate(self._short(forward_capture, 33)).accepted
+
+
 def _rebind(monkeypatch, original, wrapper):
     """Replace ``original`` in every loaded module that binds it by name."""
     for module in list(sys.modules.values()):

@@ -151,11 +151,17 @@ class TestDesignMemo:
         def fresh(order, edges, btype):
             return sps.butter(order, edges, btype, fs=fs, output="sos")
 
+        edge = x[:, :34]  # one sample over the band-pass padlen of 33
+        view = x[::2, ::3]  # non-contiguous
+        split_band = BandpassFilter(250, 500, fs, order=4)
         cases = [
             (lambda: band.apply(x), sps.sosfiltfilt(fresh(5, [100, 16_000], "bandpass"), x)),
             (lambda: band.apply(short), sps.sosfilt(fresh(5, [100, 16_000], "bandpass"), short)),
             (lambda: lowpass(x, 2e3, fs, 4), sps.sosfiltfilt(fresh(4, 2e3, "lowpass"), x)),
             (lambda: highpass(x, 300, fs, 4), sps.sosfiltfilt(fresh(4, 300, "highpass"), x)),
+            (lambda: band.apply(edge), sps.sosfiltfilt(fresh(5, [100, 16_000], "bandpass"), edge)),
+            (lambda: band.apply(view), sps.sosfiltfilt(fresh(5, [100, 16_000], "bandpass"), view)),
+            (lambda: split_band.apply(x), sps.sosfiltfilt(fresh(4, [250, 500], "bandpass"), x)),
         ]
         for apply, expected in cases:
             for _ in range(2):  # the cold design, then the memoized one
@@ -176,3 +182,59 @@ class TestDesignMemo:
         again = filters.butter_sos(5, (100.0, 16_000.0), "bandpass", 48_000)
         assert np.any(again != 0.0)
         assert len(butter_calls) == 1
+
+
+# The designs the decision path and the band-split renderer filter with.
+DESIGNS = [
+    (
+        "paper band-pass",
+        lambda x: headtalk_bandpass(48_000).apply(x),
+        (5, (100.0, 16_000.0), "bandpass"),
+    ),
+    (
+        "split band-pass",
+        lambda x: BandpassFilter(250.0, 500.0, 48_000, 4).apply(x),
+        (4, (250.0, 500.0), "bandpass"),
+    ),
+    ("split low-pass", lambda x: lowpass(x, 250.0, 48_000, 4), (4, 250.0, "lowpass")),
+    ("split high-pass", lambda x: highpass(x, 4_000.0, 48_000, 4), (4, 4_000.0, "highpass")),
+]
+
+
+class TestZeroPhaseExactness:
+    """The memoized zero-phase filter is ``sosfiltfilt`` bit for bit."""
+
+    @pytest.mark.parametrize("name,apply,key", DESIGNS, ids=[d[0] for d in DESIGNS])
+    def test_equals_sosfiltfilt(self, name, apply, key):
+        padlen = filters._butter_design(*key, 48_000).padlen
+        sos = sps.butter(key[0], key[1], key[2], fs=48_000, output="sos")
+        rng = np.random.default_rng(3)
+        for n in (padlen + 1, 2048, 37_000):
+            wide = rng.standard_normal((2, 3, 2 * n))
+            inputs = [wide[0, 0, :n], wide[0, :, :n], wide[:, :, :n], wide[0, :, ::2]]
+            for x in inputs:
+                expected = sps.sosfiltfilt(sos, x, axis=-1)
+                got = apply(x)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (name, n, x.shape)
+
+    @pytest.mark.parametrize("n", [32, 33, 34])
+    def test_bandpass_boundary(self, n):
+        """At ``padlen`` samples or fewer the band-pass filters causally."""
+        x = np.random.default_rng(4).standard_normal((4, n))
+        sos = sps.butter(5, (100.0, 16_000.0), "bandpass", fs=48_000, output="sos")
+        expected = sps.sosfilt(sos, x) if n <= 33 else sps.sosfiltfilt(sos, x)
+        assert headtalk_bandpass(48_000).apply(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name,apply,key", DESIGNS[2:], ids=[d[0] for d in DESIGNS[2:]])
+    def test_too_short_raises_like_sosfiltfilt(self, name, apply, key):
+        padlen = filters._butter_design(*key, 48_000).padlen
+        with pytest.raises(ValueError, match=f"greater than padlen, which is {padlen}"):
+            apply(np.ones((2, padlen)))
+
+    def test_memoized_state_is_protected(self):
+        design = filters._butter_design(5, (100.0, 16_000.0), "bandpass", 48_000)
+        assert design.sos.flags.writeable  # scipy's sosfilt needs a writable sos
+        assert not design.zi.flags.writeable
+        assert design.zi.tobytes() == sps.sosfilt_zi(design.sos).tobytes()
+        assert design.padlen == 33

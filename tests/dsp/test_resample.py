@@ -1,9 +1,16 @@
 """Tests for resampling and the liveness input normalization."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from repro.dsp import resample, to_liveness_input
+
+# The package's ``resample`` attribute is the function; this is its module.
+resample_module = importlib.import_module("repro.dsp.resample")
 
 
 def tone(freq, fs, seconds=0.25):
@@ -54,3 +61,23 @@ class TestLivenessInput:
     def test_silent_input_stays_finite(self):
         y = to_liveness_input(np.zeros(4800), 48_000)
         assert np.all(np.isfinite(y))
+
+
+class TestSharedFir:
+    def test_fir_is_read_only_and_equals_a_fresh_design(self):
+        taps = resample_module._kaiser_fir(1, 3)
+        assert not taps.flags.writeable
+        assert taps is resample_module._kaiser_fir(1, 3)
+        fresh = sps.firwin(61, 1.0 / 3, window=("kaiser", 5.0))
+        assert taps.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("rates", [(48_000, 16_000), (16_000, 48_000), (44_100, 16_000)])
+    @pytest.mark.parametrize("shape", [(9,), (4_801,), (3, 37_000)])
+    def test_equals_resample_poly_with_its_default_window(self, rates, shape):
+        from_rate, to_rate = rates
+        gcd = math.gcd(from_rate, to_rate)
+        x = np.random.default_rng(6).standard_normal(shape)
+        expected = sps.resample_poly(x, to_rate // gcd, from_rate // gcd, axis=-1)
+        got = resample(x, from_rate, to_rate)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

@@ -1,9 +1,14 @@
 """Tests for short-time spectral analysis."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.dsp import log_mel_like_features, mean_power_spectrum, power_spectrogram, stft
+
+# The package's ``stft`` attribute is the function; this is its module.
+stft_module = importlib.import_module("repro.dsp.stft")
 
 
 def tone(freq, fs=16_000, seconds=0.5):
@@ -63,3 +68,29 @@ class TestLogMel:
             log_mel_like_features(tone(200), 16_000, n_bands=1)
         with pytest.raises(ValueError):
             log_mel_like_features(tone(200), 16_000, fmin=9000, fmax=8000)
+
+
+class TestSharedFilterbank:
+    def _fresh_bank(self, sample_rate, n_bands, frame_length, fmin, fmax):
+        freqs = np.fft.rfftfreq(frame_length, d=1.0 / sample_rate)
+        centers = np.geomspace(fmin, fmax, n_bands + 2)
+        bank = np.zeros((n_bands, freqs.size))
+        for b in range(n_bands):
+            lo, mid, hi = centers[b], centers[b + 1], centers[b + 2]
+            rising = (freqs - lo) / max(mid - lo, 1e-12)
+            falling = (hi - freqs) / max(hi - mid, 1e-12)
+            bank[b] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+        return bank
+
+    def test_bank_is_read_only_and_equals_a_fresh_design(self):
+        bank = stft_module._filterbank(16_000, 40, 512, 50.0, 8_000.0)
+        assert not bank.flags.writeable
+        assert bank is stft_module._filterbank(16_000, 40, 512, 50.0, 8_000.0)
+        assert bank.tobytes() == self._fresh_bank(16_000, 40, 512, 50.0, 8_000.0).tobytes()
+
+    def test_features_equal_a_fresh_bank(self):
+        x = np.random.default_rng(5).standard_normal(12_000)
+        power = power_spectrogram(x, 512, 256, dtype=np.float64)
+        expected = np.log(power @ self._fresh_bank(16_000, 24, 512, 80.0, 7_000.0).T + 1e-10)
+        got = log_mel_like_features(x, 16_000, n_bands=24, fmin=80.0, fmax=7_000.0)
+        assert got.tobytes() == expected.tobytes()

@@ -91,7 +91,7 @@ class TestGccAccumulator:
     def test_srp_argmax_is_chunking_invariant(self):
         x = _signal(4, 18_000)
         lags = set()
-        for chunk in (2048, 700, 5000):
+        for chunk in (2048, 700, 5000, 16384, 333):
             acc = GccAccumulator(4, self.PAIRS, self.MAX_LAG, 2048, 2048)
             for piece in _chunks(x, chunk):
                 acc.push(piece)

@@ -86,3 +86,47 @@ class TestFraming:
             start = k * hop
             expected = x[start : start + frame]
             assert np.allclose(frames[k, : expected.size], expected)
+
+
+def _gathered_frames(x, frame, hop, pad):
+    """Frames by fancy-index gather: the copying reference."""
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.zeros((0, frame))
+    if pad:
+        n_frames = max(1, int(np.ceil(max(x.size - frame, 0) / hop)) + 1)
+        x = np.concatenate([x, np.zeros(max((n_frames - 1) * hop + frame - x.size, 0))])
+    else:
+        n_frames = 1 + (x.size - frame) // hop if x.size >= frame else 0
+    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
+    return x[idx] if n_frames else np.zeros((0, frame))
+
+
+class TestSharedArrays:
+    @pytest.mark.parametrize("pad", [True, False])
+    @pytest.mark.parametrize("n,frame,hop", [(100, 30, 10), (1000, 480, 240), (25, 10, 10),
+                                             (4096, 1024, 512), (7, 10, 5), (37, 8, 11)])
+    def test_frames_equal_the_gathered_frames(self, n, frame, hop, pad):
+        x = np.random.default_rng(n).standard_normal(n)
+        frames = frame_signal(x, frame, hop, pad=pad)
+        expected = _gathered_frames(x, frame, hop, pad)
+        assert frames.shape == expected.shape
+        assert frames.tobytes() == expected.tobytes()
+
+    def test_frames_are_read_only(self):
+        frames = frame_signal(np.arange(100.0), 30, 10)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1.0
+
+    @pytest.mark.parametrize("length", [1, 7, 480, 1024])
+    def test_windows_are_shared_read_only_and_equal_a_fresh_design(self, length):
+        n = np.arange(length)
+        fresh = {
+            hann: 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length),
+            hamming: 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length),
+        }
+        for window, expected in fresh.items():
+            assert window(length) is window(length)
+            assert not window(length).flags.writeable
+            assert window(length).tobytes() == expected.tobytes()

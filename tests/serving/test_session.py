@@ -96,6 +96,19 @@ class TestGatedLifecycle:
         assert decision["fingerprint"] is not None
 
 
+    def test_band_pass_padlen_utterance_gets_a_decision(
+        self, trained_pipeline, forward_capture, config
+    ):
+        """33 samples, exactly the band-pass padlen: the session decides
+        (fail closed) instead of raising out of ``end_wake``."""
+        session = DeviceSession("s5", trained_pipeline, config)
+        session.begin_wake(now=0.0)
+        assert session.push_audio(forward_capture.channels[:, 20_000:20_033]) is None
+        decision = session.end_wake(now=0.0)
+        assert decision["event"] == "decision"
+        assert decision["accepted"] is False
+        assert decision["reason"] == "degraded-input"
+
 class TestModes:
     def test_mute_hard_blocks(self, trained_pipeline, forward_capture, config):
         session = DeviceSession("s5", trained_pipeline, config)

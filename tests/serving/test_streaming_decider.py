@@ -29,15 +29,15 @@ def _stream(decider, channels, chunk=CHUNK):
 
 
 def _count_frame_gcc(monkeypatch):
-    """Rebind the accumulator's frame-GCC kernel to record each call."""
+    """Rebind the accumulator's per-frame transform to record each call."""
     calls = []
-    real = dsp_streaming.pairwise_gcc_framewise
+    real = dsp_streaming._frame_cross_spectra
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dsp_streaming, "pairwise_gcc_framewise", counting)
+    monkeypatch.setattr(dsp_streaming, "_frame_cross_spectra", counting)
     return calls
 
 
@@ -160,6 +160,7 @@ class TestStreamingCost:
                 calls_at_verdict = len(calls)
         result = decider.finish()
         assert result.early_exited
+        assert calls_at_verdict > 0
         assert len(calls) == calls_at_verdict
         # The decider keeps counting the frames the accumulator skips.
         assert result.frames_seen == 17
@@ -233,6 +234,7 @@ class TestMidStreamChannelDeath:
         assert decider.degraded
         assert not decider.fail_closed
         # No check can fire once a channel is voted out, so frame GCC stops.
+        assert calls_at_vote > 0
         assert len(calls) == calls_at_vote
         assert result.frames_seen == channels.shape[1] // CHUNK
         # The final verdict is still the batch verdict on the same

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsp import segment_stream
-from repro.dsp.localization import angular_error_deg
 from repro.ml.calibration import brier_score, expected_calibration_error
 from repro.userstudy import sus_score
 
@@ -47,21 +46,6 @@ class TestCalibrationProperties:
         rng = np.random.default_rng(seed)
         y = rng.integers(0, 2, 32)
         assert brier_score(y, y.astype(float)) == 0.0
-
-
-class TestAngularErrorProperties:
-    @given(a=st.floats(-720, 720), b=st.floats(-720, 720))
-    @settings(max_examples=60, deadline=None)
-    def test_range_symmetry_identity(self, a, b):
-        error = angular_error_deg(a, b)
-        assert 0.0 <= error <= 180.0
-        assert error == pytest.approx(angular_error_deg(b, a), abs=1e-9)
-        assert angular_error_deg(a, a) == pytest.approx(0.0, abs=1e-9)
-
-    @given(a=st.floats(-360, 360), k=st.integers(-2, 2))
-    @settings(max_examples=40, deadline=None)
-    def test_periodicity(self, a, k):
-        assert angular_error_deg(a, a + 360.0 * k) == pytest.approx(0.0, abs=1e-6)
 
 
 class TestSusProperties:
