@@ -41,9 +41,7 @@ from .spectral import (
 )
 from .srp import (
     srp_max_lag_for,
-    srp_phat_at_delays,
     srp_phat_lag_curve,
-    srp_phat_map,
     steering_pair_lags,
 )
 from .stats import (
@@ -111,9 +109,7 @@ __all__ = [
     "skewness",
     "spectral_contrast",
     "srp_max_lag_for",
-    "srp_phat_at_delays",
     "srp_phat_lag_curve",
-    "srp_phat_map",
     "stft",
     "steering_pair_lags",
     "summary_vector",

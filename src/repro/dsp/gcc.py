@@ -43,17 +43,15 @@ whitened cross-spectra only when it is read (see
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
 
+from ..obs.control import warn_once
 from ..obs.metrics import counter_inc
 from .precision import fft_api, resolve_dtype
 
 _PHAT_REGULARIZATION = 1e-12
-
-_TRUNCATION_WARNED = False
 
 
 def _note_truncation(dropped: int) -> None:
@@ -65,16 +63,11 @@ def _note_truncation(dropped: int) -> None:
     ``dsp.frames.truncated`` metric, labelled by nothing — the sample
     count is the increment).
     """
-    global _TRUNCATION_WARNED
     counter_inc("dsp.frames.truncated", dropped)
-    if _TRUNCATION_WARNED:
-        return
-    _TRUNCATION_WARNED = True
-    warnings.warn(
+    warn_once(
+        "dsp.frames.truncated",
         f"extract_frames(pad=False) dropped {dropped} trailing samples that do not fill "
         "a complete frame; pass pad=True to keep them (warned once per process)",
-        RuntimeWarning,
-        stacklevel=3,
     )
 
 

@@ -23,10 +23,11 @@ accepts an explicit ``dtype=`` argument that wins over the global.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
+
+from ..obs.control import warn_once
 
 try:  # scipy ships real single-precision FFTs; numpy's pocketfft wrapper
     from scipy import fft as _scipy_fft  # computes float32 at float64 speed.
@@ -39,8 +40,6 @@ DTYPES = {
 }
 DEFAULT_DTYPE = DTYPES["float64"]
 
-_WARNED_BAD_DTYPE = False
-
 
 def parse_dtype(value, default: np.dtype = DEFAULT_DTYPE, warn: bool = False) -> np.dtype:
     """Map an env-style spelling to a supported decision dtype.
@@ -48,10 +47,9 @@ def parse_dtype(value, default: np.dtype = DEFAULT_DTYPE, warn: bool = False) ->
     ``"float32"``/``"f32"``/``"single"`` and ``"float64"``/``"f64"``/
     ``"double"`` are accepted (any case, surrounding whitespace
     ignored); anything else falls back to ``default`` — with a one-time
-    :class:`RuntimeWarning` when ``warn`` is set, matching the other
-    ``REPRO_*`` knobs.
+    :class:`RuntimeWarning` (:func:`repro.obs.control.warn_once`) when
+    ``warn`` is set, matching the other environment settings.
     """
-    global _WARNED_BAD_DTYPE
     if value is None:
         return default
     text = str(value).strip().lower()
@@ -59,13 +57,11 @@ def parse_dtype(value, default: np.dtype = DEFAULT_DTYPE, warn: bool = False) ->
         return DTYPES["float32"]
     if text in ("float64", "f64", "double", "64", ""):
         return DTYPES["float64"]
-    if warn and not _WARNED_BAD_DTYPE:
-        _WARNED_BAD_DTYPE = True
-        warnings.warn(
+    if warn:
+        warn_once(
+            "REPRO_DTYPE",
             f"REPRO_DTYPE={value!r} is not one of float32/float64; "
             f"keeping {default.name}",
-            RuntimeWarning,
-            stacklevel=3,
         )
     return default
 

@@ -32,38 +32,6 @@ def srp_phat_lag_curve(
     return gcc.sum(axis=0)
 
 
-def srp_phat_at_delays(
-    channels: np.ndarray,
-    pairs: list[tuple[int, int]],
-    pair_lags: np.ndarray,
-    max_lag: int,
-    gcc: np.ndarray | None = None,
-    dtype=None,
-) -> float:
-    """SRP evaluated for one steering hypothesis.
-
-    ``pair_lags`` gives, per pair, the integer lag (samples) implied by
-    the hypothesized source position; the SRP is the sum of the pairwise
-    GCCs at those lags (lags outside the window contribute zero).
-
-    ``gcc`` optionally supplies the precomputed
-    ``pairwise_gcc(channels, pairs, max_lag)`` matrix so a steering
-    sweep pays for the FFT stack once, not once per hypothesis; when
-    absent it is computed here, bit-identically.
-    """
-    if gcc is None:
-        gcc = pairwise_gcc(channels, pairs, max_lag, dtype=dtype)
-    elif gcc.shape != (len(pairs), 2 * max_lag + 1):
-        raise ValueError(
-            f"precomputed gcc must be {(len(pairs), 2 * max_lag + 1)}, got {gcc.shape}"
-        )
-    total = 0.0
-    for row, lag in zip(gcc, np.asarray(pair_lags, dtype=int)):
-        if -max_lag <= lag <= max_lag:
-            total += float(row[lag + max_lag])
-    return total
-
-
 def steering_pair_lags(
     array: MicArray,
     source_position: np.ndarray,
@@ -83,33 +51,6 @@ def steering_pair_lags(
         int(round((delays[i] - delays[j]) * array.sample_rate)) for i, j in pairs
     ]
     return np.asarray(lags, dtype=int)
-
-
-def srp_phat_map(
-    channels: np.ndarray,
-    array: MicArray,
-    candidate_positions: np.ndarray,
-    pairs: list[tuple[int, int]] | None = None,
-    max_lag: int | None = None,
-    array_position: np.ndarray | None = None,
-    dtype=None,
-) -> np.ndarray:
-    """Steered power for a grid of candidate source positions.
-
-    The GCC stack is computed once and shared by every hypothesis via
-    :func:`srp_phat_at_delays`.
-    """
-    cands = np.asarray(candidate_positions, dtype=float)
-    if cands.ndim != 2 or cands.shape[1] != 3:
-        raise ValueError(f"candidate_positions must be (n, 3), got {cands.shape}")
-    pairs = pairs if pairs is not None else array.pairs()
-    max_lag = max_lag if max_lag is not None else array.max_delay_samples() + 1
-    gcc = pairwise_gcc(channels, pairs, max_lag, dtype=dtype)
-    powers = np.zeros(cands.shape[0])
-    for c, position in enumerate(cands):
-        lags = steering_pair_lags(array, position, pairs, array_position)
-        powers[c] = srp_phat_at_delays(channels, pairs, lags, max_lag, gcc=gcc)
-    return powers
 
 
 def srp_max_lag_for(array: MicArray, margin_samples: int = 0) -> int:

@@ -9,24 +9,15 @@ testable input instead of an outage:
 - :mod:`repro.faults.scenario` — seeded :class:`FaultScenario` bundles
   whose corruption is a pure function of ``(scenario, capture)`` —
   byte-identical in any process and order — plus severity-scaled
-  presets;
-- :mod:`repro.faults.control` — the ``REPRO_FAULTS`` master switch and
-  scenario env plumbing, mirroring :mod:`repro.obs.control`.
+  presets.
 
-The consumers live in :mod:`repro.core.preprocessing` (channel-health
-screening), :mod:`repro.core.pipeline` (fail-closed degraded
-decisions) and :mod:`repro.runtime.batch` (post-render corruption).
-See ``docs/ROBUSTNESS.md``.
+A caller corrupts a rendered capture explicitly, ``scenario.apply(capture)``
+(E28, :mod:`repro.experiments.exp_fault_tolerance`, does so at each
+severity).  The consumers live in :mod:`repro.core.preprocessing`
+(channel-health screening) and :mod:`repro.core.pipeline` (fail-closed
+degraded decisions).  See ``docs/ROBUSTNESS.md``.
 """
 
-from .control import (
-    active_scenario,
-    faults_enabled,
-    injected,
-    scenario_from_env,
-    set_fault_scenario,
-    set_faults_enabled,
-)
 from .models import (
     BurstNoise,
     ChannelDropout,
@@ -54,13 +45,7 @@ __all__ = [
     "FaultScenario",
     "GainDrift",
     "PRESET_NAMES",
-    "active_scenario",
     "apply_faults",
     "capture_fault_key",
-    "faults_enabled",
-    "injected",
     "preset_scenario",
-    "scenario_from_env",
-    "set_fault_scenario",
-    "set_faults_enabled",
 ]

@@ -7,13 +7,9 @@ bytes), so injection is a pure function of ``(scenario, capture)``:
 
 - re-running the same scenario over the same captures reproduces the
   corruption bit for bit;
-- serial and threaded rendering corrupt identically, whatever the
-  execution order — there is no shared stream to race on;
+- captures corrupt identically on any thread and in any order — there
+  is no shared stream to race on;
 - two different captures in one batch get independent corruption.
-
-Scenarios are small frozen dataclasses that ride inside
-:class:`~repro.runtime.batch.RenderTask`, so a task applies exactly
-the faults it carries on whichever thread runs it.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ function call and a global read when observability is off (the default).
 Enable it per process with ``REPRO_OBS=1`` or programmatically with
 :func:`set_obs_enabled` / the :func:`observed` scope.
 
-This module also owns the one-time-warning env readers
-(:func:`warn_once`, :func:`env_int`, :func:`env_float`) shared by every
-``REPRO_*`` knob family (serving, monitor, faults, live, the runtime's
-cache sizes and retry policy): a malformed value falls back to its
-default with a single ``RuntimeWarning`` per process naming the bad
-value, and never changes behaviour silently.  A blank value counts as
+This module also owns :func:`warn_once`, the package's one-time
+``RuntimeWarning``, and the env readers (:func:`env_truthy`,
+:func:`env_int`, :func:`env_float`) for the few deployment settings read
+from the environment (the README's table): a malformed number falls
+back to its default with a single ``RuntimeWarning`` per process naming
+the bad value, and never changes behaviour silently; an unrecognised
+switch spelling keeps the switch's default.  A blank value counts as
 unset.
 """
 
@@ -54,10 +55,10 @@ _WARNED: set[str] = set()
 def warn_once(name: str, message: str, *, stacklevel: int = 4) -> None:
     """One ``RuntimeWarning`` per key per process.
 
-    ``name`` is the dedupe key — conventionally the env var (so a knob
-    read from several call sites still warns once).  Tests reset the
-    state by monkeypatching ``repro.obs.control._WARNED`` to a fresh
-    set.
+    ``name`` is the dedupe key: the env var for a setting (so one read
+    from several call sites still warns once), else a dotted name.
+    Tests reset the state by monkeypatching ``repro.obs.control._WARNED``
+    to a fresh set.
     """
     if name in _WARNED:
         return
@@ -77,11 +78,11 @@ def env_int(name: str, default: int) -> int:
         return default
 
 
-def env_float(name: str, default: float, *, positive: bool = False) -> float:
-    """``float(os.environ[name])`` with warn-once fallback to ``default``.
+def env_float(name: str, default: float) -> float:
+    """Positive ``float(os.environ[name])`` with warn-once fallback.
 
-    With ``positive=True`` the value must also be finite and > 0 (the
-    monitor-knob convention — thresholds and window sizes).
+    A value that does not parse, or is not finite and > 0, keeps
+    ``default``.
     """
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
@@ -90,16 +91,11 @@ def env_float(name: str, default: float, *, positive: bool = False) -> float:
         value = float(raw)
     except ValueError:
         value = None
-    if positive:
-        if value is None or not math.isfinite(value) or value <= 0:
-            warn_once(
-                name,
-                f"ignoring {name}={raw!r} (expected a positive number); using {default}",
-            )
-            return default
-        return value
-    if value is None:
-        warn_once(name, f"{name}={raw!r} is not a number; using {default}")
+    if value is None or not math.isfinite(value) or value <= 0:
+        warn_once(
+            name,
+            f"ignoring {name}={raw!r} (expected a positive number); using {default}",
+        )
         return default
     return value
 

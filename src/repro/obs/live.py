@@ -24,10 +24,10 @@ own event loop (stdlib ``asyncio`` only, no web framework) answering:
   mid-soak while traffic runs.
 
 A background *load probe* task samples the event loop's scheduling lag
-and the sessions' ring occupancy once per ``probe_interval_s``,
-writing gauges straight into :data:`~repro.obs.metrics.REGISTRY` —
-``REPRO_LIVE=1`` is itself the opt-in, so the probe does not also gate
-on ``REPRO_OBS``.
+and the sessions' ring occupancy once per
+:attr:`LiveConfig.probe_interval_s` (default 1 s), writing gauges
+straight into :data:`~repro.obs.metrics.REGISTRY` — ``REPRO_LIVE=1`` is
+itself the opt-in, so the probe does not also gate on ``REPRO_OBS``.
 
 Off by default: without ``REPRO_LIVE=1`` (or an explicit
 :class:`LiveConfig`) the gateway opens no extra socket, spawns no probe
@@ -49,7 +49,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .control import env_float, env_int, obs_enabled
+from .control import env_int, obs_enabled
 from .metrics import REGISTRY
 from .monitor import slo_monitor
 
@@ -65,10 +65,11 @@ _REQUEST_TIMEOUT_S = 5.0
 
 @dataclass(frozen=True)
 class LiveConfig:
-    """Sidecar tunables; :meth:`from_env` reads the ``REPRO_LIVE_*`` knobs.
+    """Sidecar tunables; :meth:`from_env` reads the bind address.
 
-    Malformed values warn once and fall back to the defaults (shared
-    :mod:`repro.obs.control` readers).
+    ``REPRO_LIVE_HOST`` and ``REPRO_LIVE_PORT`` are deployment settings;
+    a malformed port warns once and keeps the default (shared
+    :mod:`repro.obs.control` reader).
     """
 
     host: str = "127.0.0.1"
@@ -80,7 +81,6 @@ class LiveConfig:
         return cls(
             host=os.environ.get("REPRO_LIVE_HOST") or cls.host,
             port=env_int("REPRO_LIVE_PORT", cls.port),
-            probe_interval_s=env_float("REPRO_LIVE_PROBE_S", cls.probe_interval_s, positive=True),
         )
 
 

@@ -30,9 +30,8 @@ with multi-window burn-rate alarms over sliding
 sidecar (:mod:`repro.obs.live`) surfaces its active alarms on
 ``/alarms`` and folds them into ``/readyz``.
 
-Everything is gated behind ``obs_enabled()`` (plus an optional
-``REPRO_MONITOR=0`` opt-out): with observability off the hot path pays
-one function call and a global read, nothing more.
+Everything is gated behind ``obs_enabled()``: with observability off
+the hot path pays one function call and a global read, nothing more.
 
 Because the monitor consumes the *audit record itself*, the offline
 replay CLI reconstructs bit-identical monitor state from a JSONL audit
@@ -49,11 +48,9 @@ log::
 tolerance in percentage points (exit 1 on regression, mirroring
 ``python -m repro.obs.bench --compare``).
 
-Drift thresholds and slice-bucket edges are env-tunable
-(``REPRO_MONITOR_PSI``, ``REPRO_MONITOR_KS``, ``REPRO_MONITOR_PH_DELTA``,
-``REPRO_MONITOR_PH_LAMBDA``, ``REPRO_MONITOR_ANGLE_EDGES``, ...); a
-malformed override warns once (`RuntimeWarning`) and falls back to the
-default instead of silently misconfiguring the monitor.
+Drift thresholds, window sizes and slice-bucket edges are
+:class:`MonitorConfig` fields; :func:`reset_monitor` installs a config
+on the process-global monitor.
 
 Module imports stay stdlib-only like the rest of :mod:`repro.obs`;
 numpy enters only lazily through :mod:`repro.ml.calibration` when an
@@ -74,7 +71,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audit import audit_record
-from .control import env_float, env_int, env_truthy, obs_enabled
+from .control import env_float, obs_enabled
 from .control import warn_once as _warn_once
 from .metrics import WindowedCounter, counter_inc, gauge_set
 
@@ -98,13 +95,15 @@ _STAGE_OF_REASON = {
     _REASON_DEGRADED: "screening",
 }
 
+
 def _check_attack_label(source: str) -> None:
     """Mislabeled-replay guard: ``attack-*`` slices need the layer armed.
 
-    A decision stream carrying adversarial source labels while
-    ``REPRO_ATTACKS`` is off usually means replay traffic was labelled
-    by hand, or a drive forgot to arm :mod:`repro.attacks`; warn once so
-    the per-source quality slices are not silently trusted.
+    A decision stream carrying adversarial source labels while the
+    attack layer is disarmed (:func:`repro.attacks.attacks_enabled`)
+    usually means replay traffic was labelled by hand, or a drive forgot
+    to arm :mod:`repro.attacks`; warn once so the per-source quality
+    slices are not silently trusted.
     """
     if not source.startswith("attack"):
         return
@@ -112,34 +111,12 @@ def _check_attack_label(source: str) -> None:
 
     if not attacks_enabled():
         _warn_once(
-            "REPRO_ATTACKS_MISLABEL",
+            "attacks.mislabel",
             f"decision stream carries adversarial source label {source!r} while "
-            "the attack layer is disarmed (REPRO_ATTACKS unset); arm "
-            "repro.attacks for attack-mix traffic so the labels are intentional",
+            "the attack layer is disarmed; arm repro.attacks "
+            "(set_attacks_enabled) for attack-mix traffic so the labels are "
+            "intentional",
         )
-
-
-def _env_float(name: str, default: float) -> float:
-    """Positive-float env knob via the shared :mod:`.control` reader."""
-    return env_float(name, default, positive=True)
-
-
-def _env_edges(name: str, default: tuple) -> tuple:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        edges = tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        edges = ()
-    if not edges or any(not math.isfinite(e) for e in edges) or list(edges) != sorted(set(edges)):
-        _warn_once(
-            name,
-            f"ignoring {name}={raw!r} (expected strictly increasing comma-separated "
-            f"numbers); using {default}",
-        )
-        return default
-    return edges
 
 
 @dataclass(frozen=True)
@@ -159,7 +136,8 @@ class MonitorConfig:
     # PSI/KS wait for a full default window: small windows bias PSI high
     # (E[PSI] ≈ (bins-1)·(1/n + 1/m) under no drift) and the detectors
     # re-test every overlapping window, so early small-sample statistics
-    # false-alarm on perfectly stationary streams.
+    # false-alarm on perfectly stationary streams.  A ``window`` below
+    # this is tested once it is full (:class:`ScoreStream` clamps).
     min_window: int = 256
     histogram_bins: int = 10
     # A full stationary window already carries E[PSI] ≈ 0.08 of pure
@@ -184,29 +162,9 @@ class MonitorConfig:
     distance_edges: tuple = (2.0, 4.0)
     snr_edges: tuple = (5.0, 15.0)
 
-    @classmethod
-    def from_env(cls) -> "MonitorConfig":
-        """Defaults overridden by ``REPRO_MONITOR_*`` (malformed → warn once)."""
-        base = cls()
-        window = int(_env_float("REPRO_MONITOR_WINDOW", base.window))
-        return cls(
-            reference_size=int(_env_float("REPRO_MONITOR_REFERENCE", base.reference_size)),
-            window=window,
-            # A window below the default min_window must shrink the
-            # minimum too, or small-window configs silently never run
-            # the PSI/KS tests at all.
-            min_window=min(base.min_window, window),
-            histogram_bins=base.histogram_bins,
-            psi_threshold=_env_float("REPRO_MONITOR_PSI", base.psi_threshold),
-            ks_coefficient=_env_float("REPRO_MONITOR_KS", base.ks_coefficient),
-            ph_delta_sigma=_env_float("REPRO_MONITOR_PH_DELTA", base.ph_delta_sigma),
-            ph_lambda_sigma=_env_float("REPRO_MONITOR_PH_LAMBDA", base.ph_lambda_sigma),
-            calibration_window=base.calibration_window,
-            calibration_bins=base.calibration_bins,
-            angle_edges=_env_edges("REPRO_MONITOR_ANGLE_EDGES", base.angle_edges),
-            distance_edges=_env_edges("REPRO_MONITOR_DISTANCE_EDGES", base.distance_edges),
-            snr_edges=_env_edges("REPRO_MONITOR_SNR_EDGES", base.snr_edges),
-        )
+    def __post_init__(self) -> None:
+        if self.reference_size < 1 or self.window < 1:
+            raise ValueError("reference_size and window must be >= 1")
 
 
 def _fmt_edge(value: float) -> str:
@@ -236,7 +194,7 @@ def slices_from_meta(meta, ambient_db_spl=None, config: MonitorConfig | None = N
     ``UtteranceMeta`` carries source loudness only — so it appears only
     when ``ambient_db_spl`` is supplied.
     """
-    config = config or MonitorConfig.from_env()
+    config = config or MonitorConfig()
     if isinstance(meta, dict):
         get = meta.get
     else:
@@ -429,6 +387,9 @@ class ScoreStream:
         self.reference: list[float] = []
         self.frozen = False
         self.window: deque = deque(maxlen=config.window)
+        # The window never holds more than ``config.window`` scores, so
+        # a larger minimum would keep PSI and KS from ever running.
+        self.min_window = min(config.min_window, config.window)
         self.alarms: list[DriftAlarm] = []
         self._ref_sorted: list[float] = []
         self._ref_fractions: list[float] = []
@@ -481,13 +442,13 @@ class ScoreStream:
 
     def psi(self) -> float | None:
         """PSI of the current window against the reference histogram."""
-        if not self.frozen or len(self.window) < self.config.min_window:
+        if not self.frozen or len(self.window) < self.min_window:
             return None
         return population_stability_index(self._ref_fractions, self._window_fractions())
 
     def ks(self) -> float | None:
         """Two-sample KS statistic of window vs reference."""
-        if not self.frozen or len(self.window) < self.config.min_window:
+        if not self.frozen or len(self.window) < self.min_window:
             return None
         return ks_statistic(self._ref_sorted, self.window)
 
@@ -520,7 +481,7 @@ class ScoreStream:
                     direction=direction,
                 )
             )
-        if len(self.window) >= self.config.min_window:
+        if len(self.window) >= self.min_window:
             psi = self.psi()
             raised.extend(self._edge("psi", psi, self.config.psi_threshold))
             raised.extend(self._edge("ks", self.ks(), self.ks_critical()))
@@ -602,7 +563,7 @@ class DecisionMonitor:
     """
 
     def __init__(self, config: MonitorConfig | None = None) -> None:
-        self.config = config or MonitorConfig.from_env()
+        self.config = config or MonitorConfig()
         self._lock = threading.Lock()
         self.reset()
 
@@ -700,18 +661,6 @@ class DecisionMonitor:
 # Process-global monitor (the live pipeline feed)
 
 _MONITOR = DecisionMonitor()
-_ENABLED = env_truthy("REPRO_MONITOR", True)
-
-
-def monitor_enabled() -> bool:
-    """Whether live decisions feed the global monitor (needs obs on too)."""
-    return _ENABLED and obs_enabled()
-
-
-def set_monitor_enabled(enabled: bool) -> None:
-    """Opt the live monitor feed in/out (observability master still rules)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
 
 
 def decision_monitor() -> DecisionMonitor:
@@ -720,8 +669,8 @@ def decision_monitor() -> DecisionMonitor:
 
 
 def monitor_record(record: dict) -> None:
-    """Feed one decision audit record to the global monitor (if enabled)."""
-    if not monitor_enabled():
+    """Feed one decision audit record to the global monitor (obs on)."""
+    if not obs_enabled():
         return
     _MONITOR.consume(record)
 
@@ -864,32 +813,18 @@ class SloTracker:
 
 
 def default_slo_rules() -> tuple[SloRule, ...]:
-    """The serving SLOs, with every knob env-tunable (``REPRO_LIVE_SLO_*``).
+    """The serving SLOs at :class:`SloRule`'s default budget and windows.
 
-    Malformed overrides warn once and fall back per knob (shared
-    :mod:`.control` readers).
+    The p95 latency threshold is the one deployment setting:
+    ``REPRO_LIVE_SLO_P95_MS`` (a malformed value warns once and keeps
+    :data:`DEFAULT_SLO_LATENCY_MS`).
     """
-    budget = env_float("REPRO_LIVE_SLO_BUDGET", DEFAULT_SLO_BUDGET, positive=True)
-    burn = env_float("REPRO_LIVE_SLO_BURN", 1.0, positive=True)
-    fast_s = env_float("REPRO_LIVE_SLO_FAST_S", 60.0, positive=True)
-    slow_s = env_float("REPRO_LIVE_SLO_SLOW_S", 300.0, positive=True)
-    min_events = env_int("REPRO_LIVE_SLO_MIN_EVENTS", 20)
-    common = dict(
-        budget=budget,
-        fast_window_s=fast_s,
-        slow_window_s=slow_s,
-        burn_threshold=burn,
-        min_events=min_events,
-    )
     return (
         SloRule(
             "serving.latency_p95",
-            threshold_ms=env_float(
-                "REPRO_LIVE_SLO_P95_MS", DEFAULT_SLO_LATENCY_MS, positive=True
-            ),
-            **common,
+            threshold_ms=env_float("REPRO_LIVE_SLO_P95_MS", DEFAULT_SLO_LATENCY_MS),
         ),
-        SloRule("serving.fail_closed", threshold_ms=None, **common),
+        SloRule("serving.fail_closed"),
     )
 
 
@@ -961,8 +896,8 @@ def slo_monitor() -> SloMonitor:
 
 
 def slo_observe_decision(wall_ms: float, reason: str | None = None) -> None:
-    """Feed one serving decision to the global SLO monitor (if enabled)."""
-    if not monitor_enabled():
+    """Feed one serving decision to the global SLO monitor (obs on)."""
+    if not obs_enabled():
         return
     slo_monitor().observe_decision(wall_ms, reason=reason)
 

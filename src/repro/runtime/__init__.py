@@ -11,7 +11,7 @@ speed without changing a single output byte:
   task carrying its own frozen random-stream state, over threads
   (inline on the calling thread at ``workers=1``);
 - :mod:`repro.runtime.plan` memoizes per-``(geometry, fs)`` decision
-  plans: pair lists, lag windows, FFT sizing and steering lags;
+  plans: pair lists and lag windows;
 - :mod:`repro.runtime.fanout` maps the batch renderer's and the batch
   decision entry points' per-capture work over a thread pool made for
   that one call.

@@ -17,7 +17,7 @@ release the GIL, so the tasks of one batch render side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from ..acoustics.propagation import (
 )
 from ..acoustics.scene import Scene
 from ..acoustics.sources import SourceRendering
-from ..faults.control import active_scenario
-from ..faults.scenario import FaultScenario
 from ..obs.metrics import counter_inc
 from ..obs.profile import profiled
 from ..obs.spans import span
@@ -80,7 +78,6 @@ class RenderTask:
     n_bands: int = DEFAULT_N_BANDS
     self_noise_db_spl: float | None = None
     interference: tuple[InterferenceSpec, ...] = ()
-    faults: FaultScenario | None = None
 
     @classmethod
     def from_rng(
@@ -96,53 +93,33 @@ def execute_render_task(task: RenderTask) -> Capture:
     The restored generator is threaded through the capture render and
     then each interference layer in order, reproducing the sequential
     random stream of the original in-line code path.
-
-    A task that carries no :class:`FaultScenario` of its own picks up
-    the ambient one (:func:`repro.faults.control.active_scenario`) here,
-    on whichever thread runs it: :func:`repro.faults.control.injected`
-    sets module globals that every thread reads, so the corruption is
-    applied exactly once on every path.
     """
-    if task.faults is None:
-        scenario = active_scenario()
-        if scenario is not None:
-            task = replace(task, faults=scenario)
     with span("runtime.render_task"):
-        return _execute_render_task(task)
-
-
-def _execute_render_task(task: RenderTask) -> Capture:
-    rng = restore_generator(task.rng_state)
-    capture = render_capture(
-        task.scene,
-        task.rendering,
-        loudness_db_spl=task.loudness_db_spl,
-        rng=rng,
-        rir_config=task.rir_config,
-        ambient=task.ambient,
-        extra_noise=task.extra_noise,
-        n_bands=task.n_bands,
-        self_noise_db_spl=task.self_noise_db_spl,
-    )
-    if task.interference:
-        channels = capture.channels.copy()
-        for spec in task.interference:
-            channels += render_interference(
-                spec.scene,
-                spec.kind,
-                spec.level_db_spl,
-                capture.n_samples,
-                rng,
-                task.rir_config,
-            )
-        capture = Capture(channels=channels, sample_rate=capture.sample_rate)
-    if task.faults is not None:
-        # Post-render corruption: the fault stream is derived from the
-        # scenario seed and the clean capture's content, so the result
-        # is byte-identical wherever (and in whatever order) the task
-        # runs — see repro.faults.scenario.
-        capture = task.faults.apply(capture)
-    return capture
+        rng = restore_generator(task.rng_state)
+        capture = render_capture(
+            task.scene,
+            task.rendering,
+            loudness_db_spl=task.loudness_db_spl,
+            rng=rng,
+            rir_config=task.rir_config,
+            ambient=task.ambient,
+            extra_noise=task.extra_noise,
+            n_bands=task.n_bands,
+            self_noise_db_spl=task.self_noise_db_spl,
+        )
+        if task.interference:
+            channels = capture.channels.copy()
+            for spec in task.interference:
+                channels += render_interference(
+                    spec.scene,
+                    spec.kind,
+                    spec.level_db_spl,
+                    capture.n_samples,
+                    rng,
+                    task.rir_config,
+                )
+            capture = Capture(channels=channels, sample_rate=capture.sample_rate)
+        return capture
 
 
 def render_captures(tasks: list[RenderTask], workers: int | None = None) -> list[Capture]:

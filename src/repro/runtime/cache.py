@@ -23,14 +23,14 @@ byte-identical.  Entries are stored read-only; the dry cache hands out
 copies because callers mix noise in place.
 
 Caches are per-process and shared by every render thread (each cache
-guards its state with a lock).  Sizes are bounded and configurable via
-``REPRO_RIR_CACHE_ENTRIES`` / ``REPRO_DRY_CACHE_ENTRIES``.
+guards its state with a lock).  Both are bounded LRUs, of 64 RIR and
+128 dry-render entries; :func:`set_cache_enabled` turns memoization off
+for A/B runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from threading import Lock
@@ -40,21 +40,10 @@ import numpy as np
 from ..acoustics.directivity import DirectivityModel
 from ..acoustics.image_source import RirConfig, render_band_rirs
 from ..acoustics.room import Room
-from ..obs.control import env_int
 from ..obs.metrics import counter_inc
 
-DEFAULT_RIR_ENTRIES = 64
-DEFAULT_DRY_ENTRIES = 128
-
-
-def _env_entries(name: str, default: int) -> int:
-    """Cache size from the environment, clamped at 0.
-
-    A malformed value warns once and keeps ``default``
-    (:func:`repro.obs.control.env_int`): a typo must not silently
-    resize a cache.
-    """
-    return max(0, env_int(name, default))
+_RIR_ENTRIES = 64
+_DRY_ENTRIES = 128
 
 
 @dataclass
@@ -105,8 +94,6 @@ class _LruCache:
             return None
 
     def put(self, key, value) -> None:
-        if self.max_entries <= 0:
-            return
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
@@ -121,9 +108,9 @@ class _LruCache:
             self.stats = CacheStats()
 
 
-_RIR_CACHE = _LruCache(_env_entries("REPRO_RIR_CACHE_ENTRIES", DEFAULT_RIR_ENTRIES), name="rir")
-_DRY_CACHE = _LruCache(_env_entries("REPRO_DRY_CACHE_ENTRIES", DEFAULT_DRY_ENTRIES), name="dry")
-_ENABLED = os.environ.get("REPRO_RENDER_CACHE", "1") != "0"
+_RIR_CACHE = _LruCache(_RIR_ENTRIES, name="rir")
+_DRY_CACHE = _LruCache(_DRY_ENTRIES, name="dry")
+_ENABLED = True
 
 
 def cache_enabled() -> bool:

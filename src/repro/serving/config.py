@@ -1,43 +1,36 @@
-"""Serving parameters and their ``REPRO_SERVING_*`` environment knobs.
+"""Serving parameters: one frozen :class:`ServingConfig` per gateway.
 
-Every knob has a safe default; malformed values fall back to the
-default with a one-time ``RuntimeWarning`` naming the bad value (the
-shared :mod:`repro.obs.control` helpers) — a typo in a deploy manifest
-must not silently change decision latency or early-exit behaviour.
+Every tunable is a constructor field, and ``__post_init__`` rejects an
+invalid value with ``ValueError``.  The soak and traffic-drive CLIs
+start from the defaults and set only ``check_liveness`` and
+``max_sessions``.
 
-Knobs (all optional):
-
-- ``REPRO_SERVING_FRAME`` / ``REPRO_SERVING_HOP`` — evidence frame and
-  hop, in samples (default 2048/2048: non-overlapping ~43 ms frames at
-  48 kHz);
-- ``REPRO_SERVING_MIN_FRAMES`` — frames before the first early check;
-- ``REPRO_SERVING_CHECK_EVERY`` — minimum frames between early checks
-  (later checks wait for the prefix to grow by half);
-- ``REPRO_SERVING_CONSECUTIVE`` — below-margin checks before an early
-  rejection fires;
-- ``REPRO_SERVING_FACING_MARGIN`` / ``REPRO_SERVING_LIVENESS_MARGIN``
-  — safety band under the decision thresholds for early rejection;
-- ``REPRO_SERVING_MAX_SESSIONS`` — concurrent connections before the
-  gateway answers ``busy`` (backpressure, never queueing);
-- ``REPRO_SERVING_RING_SECONDS`` — per-session ring-buffer capacity;
-- ``REPRO_SERVING_HOST`` / ``REPRO_SERVING_PORT`` — bind address
-  (port 0 picks a free port).
+- ``frame_length`` / ``hop_length`` — evidence frame and hop, in
+  samples (default 2048/2048: non-overlapping ~43 ms frames at 48 kHz);
+- ``min_frames`` — frames before the first early check;
+- ``check_every`` — minimum frames between early checks (later checks
+  wait for the prefix to grow by half);
+- ``consecutive`` — below-margin checks before an early rejection
+  fires;
+- ``facing_margin`` / ``liveness_margin`` — safety band under the
+  decision thresholds for early rejection;
+- ``max_sessions`` — concurrent connections before the gateway answers
+  ``busy`` (backpressure, never queueing);
+- ``ring_seconds`` — per-session ring-buffer capacity;
+- ``check_liveness`` — run the liveness stage;
+- ``host`` / ``port`` — bind address (port 0 picks a free port).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..core.streaming import DEFAULT_FRAME_LENGTH, DEFAULT_HOP_LENGTH
-from ..obs.control import env_float as _env_float
-from ..obs.control import env_int as _env_int
-from ..obs.control import warn_once as _warn_once
 
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Tuning of one gateway process (see module docstring for knobs).
+    """Tuning of one gateway process (see the module docstring for fields).
 
     The early-exit parameters are the empirically validated defaults of
     :class:`repro.core.streaming.StreamingDecider` (``check_every`` is
@@ -70,42 +63,3 @@ class ServingConfig:
             raise ValueError("max_sessions must be >= 1")
         if self.ring_seconds <= 0:
             raise ValueError("ring_seconds must be positive")
-
-    @classmethod
-    def from_env(cls) -> "ServingConfig":
-        """Config with every ``REPRO_SERVING_*`` override applied.
-
-        Values that fail their own validation (not just their parse)
-        also fall back: a negative margin warns once and keeps the
-        default, like a malformed one.
-        """
-        defaults = cls()
-        values = {
-            "frame_length": _env_int("REPRO_SERVING_FRAME", defaults.frame_length),
-            "hop_length": _env_int("REPRO_SERVING_HOP", defaults.hop_length),
-            "min_frames": _env_int("REPRO_SERVING_MIN_FRAMES", defaults.min_frames),
-            "check_every": _env_int("REPRO_SERVING_CHECK_EVERY", defaults.check_every),
-            "consecutive": _env_int("REPRO_SERVING_CONSECUTIVE", defaults.consecutive),
-            "facing_margin": _env_float(
-                "REPRO_SERVING_FACING_MARGIN", defaults.facing_margin
-            ),
-            "liveness_margin": _env_float(
-                "REPRO_SERVING_LIVENESS_MARGIN", defaults.liveness_margin
-            ),
-            "max_sessions": _env_int(
-                "REPRO_SERVING_MAX_SESSIONS", defaults.max_sessions
-            ),
-            "ring_seconds": _env_float(
-                "REPRO_SERVING_RING_SECONDS", defaults.ring_seconds
-            ),
-            "host": os.environ.get("REPRO_SERVING_HOST", defaults.host) or defaults.host,
-            "port": _env_int("REPRO_SERVING_PORT", defaults.port),
-        }
-        try:
-            return cls(**values)
-        except ValueError as error:
-            _warn_once(
-                "REPRO_SERVING",
-                f"invalid REPRO_SERVING_* combination ({error}); using defaults",
-            )
-            return defaults

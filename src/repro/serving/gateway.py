@@ -87,7 +87,7 @@ class ServingGateway:
         live_config=None,
     ):
         self.pipeline = pipeline
-        self.config = config or ServingConfig.from_env()
+        self.config = config or ServingConfig()
         self.mode = mode
         self.clock = clock
         self.live_config = live_config

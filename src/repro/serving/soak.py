@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import json
 import sys
 import time
@@ -319,8 +318,7 @@ def main(argv: list[str] | None = None) -> int:
 
     pipeline = build_pipeline(args.seed)
     captures = build_captures(args.seed + 1)
-    config = dataclasses.replace(
-        ServingConfig.from_env(),
+    config = ServingConfig(
         check_liveness=args.check_liveness,
         max_sessions=max(args.sessions, ServingConfig().max_sessions),
     )

@@ -26,7 +26,6 @@ from .config import (
     SOURCES,
     TRUTH_BY_SOURCE,
     TrafficConfig,
-    parse_mix,
 )
 from .sources import BankEntry, CaptureBank, capture_fingerprint
 
@@ -46,5 +45,4 @@ __all__ = [
     "generate_city",
     "generate_events",
     "generate_households",
-    "parse_mix",
 ]

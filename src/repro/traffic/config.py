@@ -1,4 +1,4 @@
-"""City parameters and their ``REPRO_TRAFFIC_*`` environment knobs.
+"""City parameters: one frozen :class:`TrafficConfig` per simulated city.
 
 A :class:`TrafficConfig` pins down one simulated city: how many
 households, how long the day runs, how often wake-like events occur,
@@ -8,39 +8,15 @@ derived deterministically from ``seed``, so the same config always
 yields the same city, the same Poisson event stream and the same
 rendered capture bytes.
 
-Knobs (all optional, parsed like ``REPRO_SERVING_*`` — malformed values
-fall back to the default with a one-time ``RuntimeWarning``):
-
-- ``REPRO_TRAFFIC_HOUSEHOLDS`` — city size;
-- ``REPRO_TRAFFIC_SEED`` — master seed;
-- ``REPRO_TRAFFIC_HOURS`` — simulated day length (duration);
-- ``REPRO_TRAFFIC_RATE`` — expected wake-like events per household per
-  24 h;
-- ``REPRO_TRAFFIC_VARIANTS`` — rendered variants per (room, source);
-- ``REPRO_TRAFFIC_MIX`` — mix-weight overrides, e.g.
-  ``"loudspeaker=4,replay=1"`` (unnamed sources keep their default
-  weight; weights are relative, not fractions);
-- ``REPRO_TRAFFIC_SHIFT`` — truthy: enable the mid-day mix shift;
-- ``REPRO_TRAFFIC_SHIFT_HOUR`` / ``REPRO_TRAFFIC_SHIFT_FACTOR`` /
-  ``REPRO_TRAFFIC_SHIFT_SOURCE`` — when the shift lands, how hard it
-  multiplies, and which source it boosts (default: the TV turns on
-  citywide at noon, ``loudspeaker`` weight ×8);
-- ``REPRO_TRAFFIC_ATTACK_MIX`` — fraction of traffic that is
-  adversarial (the :mod:`repro.attacks` families, split evenly over
-  :data:`ATTACK_SOURCES`; 0 = clean city, the default);
-- ``REPRO_TRAFFIC_ATTACK_SOPHISTICATION`` — attacker tier for those
-  events (1–3, matching E30's sophistication axis).
+Every parameter is a constructor field, and ``__post_init__`` rejects
+an invalid value with ``ValueError``.  ``python -m repro.traffic.drive``
+starts from the defaults and sets the fields its CLI flags name
+(docs/TRAFFIC.md).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-from ..obs.control import env_float as _env_float
-from ..obs.control import env_int as _env_int
-from ..obs.control import env_truthy as _env_truthy
-from ..obs.control import warn_once as _warn_once
 
 SOURCES = (
     "live-facing",
@@ -91,38 +67,9 @@ paper's curated datasets do not cover."""
 ROOMS = ("lab", "home")
 
 
-def parse_mix(raw: str | None) -> tuple[tuple[str, float], ...]:
-    """``"loudspeaker=4,replay=1"`` → mix tuple over :data:`DEFAULT_MIX`.
-
-    Named sources get the given relative weight; unnamed sources keep
-    their default.  Any malformed entry (unknown source, non-numeric or
-    negative weight) discards the whole override with a one-time
-    warning, mirroring the other ``REPRO_*`` knob families.
-    """
-    if raw is None or not raw.strip():
-        return DEFAULT_MIX
-    overrides: dict[str, float] = {}
-    try:
-        for part in raw.split(","):
-            name, _, value = part.partition("=")
-            name = name.strip()
-            weight = float(value)
-            if name not in SOURCES or weight < 0:
-                raise ValueError(part)
-            overrides[name] = weight
-    except ValueError:
-        _warn_once(
-            "REPRO_TRAFFIC_MIX",
-            f"ignoring REPRO_TRAFFIC_MIX={raw!r} (expected comma-separated "
-            f"source=weight pairs over {SOURCES}); using defaults",
-        )
-        return DEFAULT_MIX
-    return tuple((name, overrides.get(name, weight)) for name, weight in DEFAULT_MIX)
-
-
 @dataclass(frozen=True)
 class TrafficConfig:
-    """One simulated city (see module docstring for the env knobs)."""
+    """One simulated city (see the module docstring)."""
 
     households: int = 200
     seed: int = 0
@@ -189,45 +136,3 @@ class TrafficConfig:
             self.attack_mix / (1.0 - self.attack_mix) * base_total / len(ATTACK_SOURCES)
         )
         return self.mix + tuple((source, per_family) for source in ATTACK_SOURCES)
-
-    @classmethod
-    def from_env(cls) -> "TrafficConfig":
-        """Config with every ``REPRO_TRAFFIC_*`` override applied.
-
-        Values that fail validation (not just their parse) also fall
-        back with a one-time warning, like the serving config.
-        """
-        defaults = cls()
-        values = {
-            "households": _env_int("REPRO_TRAFFIC_HOUSEHOLDS", defaults.households),
-            "seed": _env_int("REPRO_TRAFFIC_SEED", defaults.seed),
-            "hours": _env_float("REPRO_TRAFFIC_HOURS", defaults.hours, positive=True),
-            "rate_per_household": _env_float(
-                "REPRO_TRAFFIC_RATE", defaults.rate_per_household, positive=True
-            ),
-            "variants": _env_int("REPRO_TRAFFIC_VARIANTS", defaults.variants),
-            "mix": parse_mix(os.environ.get("REPRO_TRAFFIC_MIX")),
-            "shift": _env_truthy("REPRO_TRAFFIC_SHIFT", defaults.shift),
-            "shift_hour": _env_float(
-                "REPRO_TRAFFIC_SHIFT_HOUR", defaults.shift_hour, positive=True
-            ),
-            "shift_factor": _env_float(
-                "REPRO_TRAFFIC_SHIFT_FACTOR", defaults.shift_factor, positive=True
-            ),
-            "shift_source": os.environ.get("REPRO_TRAFFIC_SHIFT_SOURCE")
-            or defaults.shift_source,
-            "attack_mix": _env_float("REPRO_TRAFFIC_ATTACK_MIX", defaults.attack_mix),
-            "attack_sophistication": _env_float(
-                "REPRO_TRAFFIC_ATTACK_SOPHISTICATION",
-                defaults.attack_sophistication,
-                positive=True,
-            ),
-        }
-        try:
-            return cls(**values)
-        except ValueError as error:
-            _warn_once(
-                "REPRO_TRAFFIC",
-                f"invalid REPRO_TRAFFIC_* combination ({error}); using defaults",
-            )
-            return defaults

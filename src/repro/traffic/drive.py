@@ -29,8 +29,8 @@ summary, and exits nonzero on any correctness failure:
 - ``--expect-alarms``: PSI, KS and Page–Hinkley *not all* firing on a
   ``--shift`` run (the seeded mid-day mix shift).
 
-``REPRO_TRAFFIC_*`` env knobs seed the defaults; explicit CLI flags
-win over the environment.
+The city starts from :class:`~repro.traffic.config.TrafficConfig`'s
+defaults, and each CLI flag given replaces one field.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import argparse
 import asyncio
 import dataclasses
 import json
-import os
 import sys
 import time
 from collections import OrderedDict
@@ -80,16 +79,12 @@ DRIFT_DETECTORS = frozenset({"psi", "ks", "page-hinkley"})
 # stationary 200-household days the liveness-stream PSI brushes the
 # single-stream 0.25 alert level (observed max ~ 0.251) from window
 # composition alone.  The drive alerts at 0.40 — far above composition
-# noise, far below the mix-shift signal — unless REPRO_MONITOR_PSI is
-# set explicitly.
+# noise, far below the mix-shift signal.
 TRAFFIC_PSI_THRESHOLD = 0.40
 
 
 def _traffic_monitor_config() -> MonitorConfig:
-    config = MonitorConfig.from_env()
-    if "REPRO_MONITOR_PSI" not in os.environ:
-        config = dataclasses.replace(config, psi_threshold=TRAFFIC_PSI_THRESHOLD)
-    return config
+    return MonitorConfig(psi_threshold=TRAFFIC_PSI_THRESHOLD)
 
 
 # The orientation training slice spans the distances city traffic
@@ -360,8 +355,7 @@ def drive_problems(
 
 
 def _cli_config(args) -> TrafficConfig:
-    """Env-seeded config with explicit CLI flags layered on top."""
-    config = TrafficConfig.from_env()
+    """The default city with the given CLI flags applied."""
     overrides = {
         "households": args.households,
         "seed": args.seed,
@@ -378,7 +372,7 @@ def _cli_config(args) -> TrafficConfig:
         overrides["rooms"] = tuple(part.strip() for part in args.rooms.split(","))
     if args.shift:
         overrides["shift"] = True
-    return dataclasses.replace(config, **overrides)
+    return TrafficConfig(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -452,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     households, events = generate_city(config)
     print(f"generated {len(events)} events from {len(households)} households", file=sys.stderr)
 
-    serving = dataclasses.replace(ServingConfig.from_env(), check_liveness=True)
+    serving = ServingConfig(check_liveness=True)
     stats = run_city_sync(pipeline, bank, events, config=serving, chunk_samples=args.chunk)
     snapshot = monitor_snapshot() or None
     if snapshot:

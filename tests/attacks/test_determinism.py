@@ -93,16 +93,3 @@ class TestRenderDeterminism:
         a = render_attack_captures(_scenario(seed=0), n_utterances=1)[0]
         b = render_attack_captures(_scenario(seed=1), n_utterances=1)[0]
         assert not np.array_equal(a.channels, b.channels)
-
-    def test_default_off_leaves_clean_renders_untouched(self):
-        """With the layer disarmed, ordinary dataset renders are unchanged."""
-        from repro.attacks import attacks_enabled, engaged
-        from repro.datasets.collection import render_tasks
-        from tests.runtime.test_runtime import SPEC
-
-        tasks = [task for _, task in render_tasks(SPEC)]
-        baseline = render_captures(tasks[:1], workers=1)[0]
-        assert not attacks_enabled()
-        with engaged(_scenario()):
-            armed = render_captures(tasks[:1], workers=1)[0]
-        assert np.array_equal(baseline.channels, armed.channels)

@@ -330,10 +330,9 @@ class TestTruncationWarning:
 
     @pytest.fixture(autouse=True)
     def fresh_warning_state(self, monkeypatch):
-        from repro.dsp import gcc
-        from repro.obs import REGISTRY, observed
+        from repro.obs import REGISTRY, control, observed
 
-        monkeypatch.setattr(gcc, "_TRUNCATION_WARNED", False)
+        monkeypatch.setattr(control, "_WARNED", set())
         REGISTRY.reset()
         # Restores the enabled flag it found, so an instrumented run
         # stays instrumented after this class.

@@ -1,12 +1,10 @@
 """Tests for the decision-dtype switch (``repro.dsp.precision``)."""
 
-import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-precision_mod = importlib.import_module("repro.dsp.precision")
 from repro.dsp.precision import (
     DEFAULT_DTYPE,
     decision_dtype,
@@ -16,6 +14,7 @@ from repro.dsp.precision import (
     resolve_dtype,
     set_decision_dtype,
 )
+from repro.obs import control as obs_control
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +42,7 @@ class TestParseDtype:
             assert parse_dtype("float16") == DEFAULT_DTYPE
 
     def test_malformed_warns_once(self, monkeypatch):
-        monkeypatch.setattr(precision_mod, "_WARNED_BAD_DTYPE", False)
+        monkeypatch.setattr(obs_control, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="REPRO_DTYPE"):
             assert parse_dtype("float128", warn=True) == DEFAULT_DTYPE
         with warnings.catch_warnings():

@@ -23,7 +23,7 @@ from repro.obs import (
 )
 from repro.obs.audit import DEFAULT_CAPACITY
 from repro.obs.correlate import set_correlation
-from repro.obs.monitor import reset_monitor, reset_slo_monitor, set_monitor_enabled
+from repro.obs.monitor import reset_monitor, reset_slo_monitor
 
 
 def _reset_obs_state():
@@ -42,7 +42,6 @@ def _reset_obs_state():
     )
     reset_monitor()
     reset_slo_monitor()
-    set_monitor_enabled(True)
     set_correlation(None)
 
 

@@ -193,7 +193,7 @@ class TestOffByDefault:
 
 class TestLiveConfig:
     def test_defaults(self, monkeypatch):
-        for name in ("REPRO_LIVE_HOST", "REPRO_LIVE_PORT", "REPRO_LIVE_PROBE_S"):
+        for name in ("REPRO_LIVE_HOST", "REPRO_LIVE_PORT"):
             monkeypatch.delenv(name, raising=False)
         config = LiveConfig.from_env()
         assert config == LiveConfig("127.0.0.1", DEFAULT_LIVE_PORT, 1.0)
@@ -201,8 +201,7 @@ class TestLiveConfig:
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_LIVE_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_LIVE_PORT", "9999")
-        monkeypatch.setenv("REPRO_LIVE_PROBE_S", "0.5")
-        assert LiveConfig.from_env() == LiveConfig("0.0.0.0", 9999, 0.5)
+        assert LiveConfig.from_env() == LiveConfig("0.0.0.0", 9999, 1.0)
 
     def test_malformed_knob_warns_once_and_falls_back(self, monkeypatch):
         monkeypatch.setattr(obs_control, "_WARNED", set())

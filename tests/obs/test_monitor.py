@@ -25,6 +25,7 @@ from repro.obs.monitor import (
     DecisionMonitor,
     MonitorConfig,
     PageHinkley,
+    ScoreStream,
     StreamingConfusion,
     bucket_label,
     compare,
@@ -36,7 +37,6 @@ from repro.obs.monitor import (
     quality_path,
     quality_report,
     replay,
-    set_monitor_enabled,
     slices_from_meta,
     validate,
     write_quality_report,
@@ -122,56 +122,6 @@ class TestBucketing:
         assert slices == {"angle": "<45", "device": "D1"}
 
 
-class TestEnvOverrides:
-    @pytest.fixture(autouse=True)
-    def fresh_warnings(self):
-        obs_control._WARNED.clear()
-        yield
-        obs_control._WARNED.clear()
-
-    def test_valid_override_applied(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_PSI", "0.5")
-        monkeypatch.setenv("REPRO_MONITOR_ANGLE_EDGES", "30,60")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = MonitorConfig.from_env()
-        assert config.psi_threshold == 0.5
-        assert config.angle_edges == (30.0, 60.0)
-
-    def test_malformed_float_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_PSI", "banana")
-        with pytest.warns(RuntimeWarning, match="REPRO_MONITOR_PSI"):
-            config = MonitorConfig.from_env()
-        assert config.psi_threshold == MonitorConfig().psi_threshold
-        # Second read: already warned, stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            MonitorConfig.from_env()
-
-    def test_non_positive_threshold_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_KS", "-1.0")
-        with pytest.warns(RuntimeWarning, match="REPRO_MONITOR_KS"):
-            config = MonitorConfig.from_env()
-        assert config.ks_coefficient == MonitorConfig().ks_coefficient
-
-    def test_malformed_edges_warn_and_fall_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_ANGLE_EDGES", "90,45")  # not increasing
-        with pytest.warns(RuntimeWarning, match="REPRO_MONITOR_ANGLE_EDGES"):
-            config = MonitorConfig.from_env()
-        assert config.angle_edges == MonitorConfig().angle_edges
-
-    def test_small_window_override_shrinks_min_window(self, monkeypatch):
-        # A window below the default minimum must pull min_window down
-        # with it, or the PSI/KS tests would silently never run.
-        monkeypatch.setenv("REPRO_MONITOR_WINDOW", "32")
-        config = MonitorConfig.from_env()
-        assert config.window == 32
-        assert config.min_window == 32
-        monkeypatch.delenv("REPRO_MONITOR_WINDOW")
-        default = MonitorConfig.from_env()
-        assert default.min_window == MonitorConfig().min_window
-
-
 class TestStreamingConfusion:
     def test_far_frr_match_ml_metrics(self):
         rng = random.Random(7)
@@ -247,6 +197,24 @@ class TestDriftDetectors:
         # Statistic stays above threshold once the window is fully
         # shifted; the edge logic must still fire exactly once.
         assert len(psi_alarms) == 1
+
+    def test_small_window_runs_psi_and_ks(self):
+        # The window never holds more than ``window`` scores, so a
+        # window below the default min_window must still be tested.
+        stream = ScoreStream("facing_probability", MonitorConfig(window=64, reference_size=50))
+        rng = random.Random(11)
+        for _ in range(50):
+            stream.observe(rng.gauss(0.0, 1.0))
+        for _ in range(500):
+            stream.observe(rng.gauss(3.0, 1.0))
+        assert {a.detector for a in stream.alarms} == {"psi", "ks", "page-hinkley"}
+        assert stream.psi() > MonitorConfig().psi_threshold
+        assert stream.ks() > stream.ks_critical()
+
+    @pytest.mark.parametrize("kwargs", [{"window": 0}, {"reference_size": 0}])
+    def test_empty_window_or_reference_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            MonitorConfig(**kwargs)
 
     def test_explicit_reference_freezes_stream(self):
         monitor = DecisionMonitor(config=MonitorConfig())
@@ -341,12 +309,6 @@ class TestGlobalFeed:
         snapshot = monitor_snapshot()
         assert snapshot["decisions"] == 1
         assert snapshot["overall"]["tp"] == 1
-
-    def test_monitor_opt_out(self):
-        set_obs_enabled(True)
-        set_monitor_enabled(False)
-        monitor_record(decision_record())
-        assert monitor_snapshot() == {}
 
     def test_alarms_land_in_registry_and_audit_log(self):
         set_obs_enabled(True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import MicArray, get_device
-from repro.dsp import srp_max_lag_for, steering_pair_lags
+from repro.dsp import srp_max_lag_for
 from repro.runtime import clear_plans, plan_for, plan_stats
 
 
@@ -54,29 +54,3 @@ class TestPlanFor:
         clear_plans()
         assert plan_stats().misses == 0
         assert plan_stats().hits == 0
-
-
-class TestArrayPlanMemos:
-    def test_steering_lags_match_dsp(self):
-        array = get_device("D2")
-        plan = plan_for(array)
-        source = np.array([1.0, 2.0, 0.5])
-        expected = steering_pair_lags(array, source, array.pairs())
-        got = plan.steering_lags(source)
-        assert np.array_equal(got, expected)
-
-    def test_steering_lags_cached_and_read_only(self):
-        plan = plan_for(get_device("D2"))
-        source = np.array([1.0, 2.0, 0.5])
-        first = plan.steering_lags(source)
-        second = plan.steering_lags(source)
-        assert first is second
-        assert not first.flags.writeable
-
-    def test_steering_lags_with_array_position(self):
-        array = get_device("D2")
-        plan = plan_for(array)
-        source = np.array([1.0, 2.0, 0.5])
-        origin = np.array([0.5, 0.5, 0.0])
-        expected = steering_pair_lags(array, source, array.pairs(), origin)
-        assert np.array_equal(plan.steering_lags(source, origin), expected)

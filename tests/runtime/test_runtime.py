@@ -12,7 +12,6 @@ import pytest
 
 from repro.datasets import CollectionSpec
 from repro.datasets.collection import collect, render_tasks
-from repro.faults import injected, preset_scenario
 from repro.obs import REGISTRY, clear_spans, observed, span_records
 from repro.runtime import (
     RenderTask,
@@ -176,30 +175,28 @@ class TestRenderOnThreads:
 
     More threads than cores, switching every microsecond, from cold
     caches: every scene renders twice, so threads race to miss and fill
-    the same RIR and dry-render entries, and each thread reads the
-    ambient fault scenario on its own.
+    the same RIR and dry-render entries.
     """
 
     @pytest.mark.parametrize("obs", [False, True], ids=["obs-off", "obs-on"])
     def test_many_threads_at_a_short_switch_interval(self, obs, monkeypatch):
         tasks = _tasks() + _tasks(NOISE_SPEC)
         tasks = tasks + tasks[::-1]
-        with injected(preset_scenario("kitchen-sink", seed=5)):
-            serial = render_captures(tasks, workers=1)
-            clear_caches()
-            monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
-            with observed(obs):
-                REGISTRY.reset()
-                clear_spans()
-                interval = sys.getswitchinterval()
-                sys.setswitchinterval(1e-6)
-                try:
-                    threaded = render_captures(tasks)
-                finally:
-                    sys.setswitchinterval(interval)
-                snapshot = REGISTRY.snapshot()
-                records = span_records("runtime.render_task")
-                clear_spans()
+        serial = render_captures(tasks, workers=1)
+        clear_caches()
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
+        with observed(obs):
+            REGISTRY.reset()
+            clear_spans()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = render_captures(tasks)
+            finally:
+                sys.setswitchinterval(interval)
+            snapshot = REGISTRY.snapshot()
+            records = span_records("runtime.render_task")
+            clear_spans()
         assert [c.channels.tobytes() for c in threaded] == [c.channels.tobytes() for c in serial]
         if obs:
             assert len(records) == len(tasks)
@@ -208,29 +205,3 @@ class TestRenderOnThreads:
             # The disabled path records nothing, on any thread.
             assert snapshot == {}
             assert records == []
-
-
-class TestCacheEnvParsing:
-    def test_malformed_cache_size_warns_once_and_falls_back(self, monkeypatch):
-        from repro.obs import control as obs_control
-        from repro.runtime import cache as cache_mod
-
-        monkeypatch.setattr(obs_control, "_WARNED", set())
-        monkeypatch.setenv("REPRO_RIR_CACHE_ENTRIES", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_RIR_CACHE_ENTRIES"):
-            assert cache_mod._env_entries("REPRO_RIR_CACHE_ENTRIES", 64) == 64
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            assert cache_mod._env_entries("REPRO_RIR_CACHE_ENTRIES", 64) == 64
-
-    def test_unset_uses_default_and_negative_clamps(self, monkeypatch):
-        from repro.runtime import cache as cache_mod
-
-        monkeypatch.delenv("REPRO_DRY_CACHE_ENTRIES", raising=False)
-        assert cache_mod._env_entries("REPRO_DRY_CACHE_ENTRIES", 128) == 128
-        monkeypatch.setenv("REPRO_DRY_CACHE_ENTRIES", "-5")
-        assert cache_mod._env_entries("REPRO_DRY_CACHE_ENTRIES", 128) == 0
-        monkeypatch.setenv("REPRO_DRY_CACHE_ENTRIES", "16")
-        assert cache_mod._env_entries("REPRO_DRY_CACHE_ENTRIES", 128) == 16

@@ -8,14 +8,13 @@ turns it on, and the enabled flag it found is restored afterwards.
 import pytest
 
 from repro.obs import REGISTRY, audit_log, observed, set_obs_enabled
-from repro.obs.monitor import reset_monitor, reset_slo_monitor, set_monitor_enabled
+from repro.obs.monitor import reset_monitor, reset_slo_monitor
 
 
 def _reset_obs_state():
     set_obs_enabled(False)
     reset_monitor()
     reset_slo_monitor()
-    set_monitor_enabled(True)
     REGISTRY.reset()
     audit_log().clear()
 

@@ -1,13 +1,9 @@
-"""Traffic generator: determinism, mix control, env knobs, bank renders."""
-
-import warnings
+"""Traffic generator: determinism, mix control, config, bank renders."""
 
 import pytest
 
-from repro.obs import control as obs_control
 from repro.traffic import (
     ATTACK_SOURCES,
-    DEFAULT_MIX,
     SOURCES,
     TRUTH_BY_SOURCE,
     CaptureBank,
@@ -17,14 +13,7 @@ from repro.traffic import (
     generate_city,
     generate_events,
     generate_households,
-    parse_mix,
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_warn_state(monkeypatch):
-    """Each test sees a process that has not warned yet."""
-    monkeypatch.setattr(obs_control, "_WARNED", set())
 
 
 class TestEventDeterminism:
@@ -96,61 +85,6 @@ class TestMixShift:
 
 
 class TestConfig:
-    def test_parse_mix_overrides_named_sources_only(self):
-        mix = dict(parse_mix("loudspeaker=4,replay=1"))
-        assert mix["loudspeaker"] == 4.0 and mix["replay"] == 1.0
-        for name, weight in DEFAULT_MIX:
-            if name not in ("loudspeaker", "replay"):
-                assert mix[name] == weight
-
-    def test_parse_mix_malformed_warns_once_and_falls_back(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert parse_mix("tv=3") == DEFAULT_MIX
-            assert parse_mix("tv=3") == DEFAULT_MIX
-            assert parse_mix("loudspeaker=-1") == DEFAULT_MIX
-            assert parse_mix("loudspeaker=lots") == DEFAULT_MIX
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "REPRO_TRAFFIC_MIX" in str(runtime[0].message)
-
-    def test_from_env_reads_every_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAFFIC_HOUSEHOLDS", "77")
-        monkeypatch.setenv("REPRO_TRAFFIC_SEED", "5")
-        monkeypatch.setenv("REPRO_TRAFFIC_HOURS", "6.5")
-        monkeypatch.setenv("REPRO_TRAFFIC_RATE", "3.0")
-        monkeypatch.setenv("REPRO_TRAFFIC_VARIANTS", "2")
-        monkeypatch.setenv("REPRO_TRAFFIC_MIX", "noise=0")
-        monkeypatch.setenv("REPRO_TRAFFIC_SHIFT", "1")
-        monkeypatch.setenv("REPRO_TRAFFIC_SHIFT_HOUR", "3.0")
-        monkeypatch.setenv("REPRO_TRAFFIC_SHIFT_FACTOR", "4.0")
-        monkeypatch.setenv("REPRO_TRAFFIC_SHIFT_SOURCE", "replay")
-        monkeypatch.setenv("REPRO_TRAFFIC_ATTACK_MIX", "0.25")
-        monkeypatch.setenv("REPRO_TRAFFIC_ATTACK_SOPHISTICATION", "2.0")
-        config = TrafficConfig.from_env()
-        assert config.households == 77
-        assert config.seed == 5
-        assert config.hours == 6.5
-        assert config.rate_per_household == 3.0
-        assert config.variants == 2
-        assert config.mix_weight("noise") == 0.0
-        assert config.shift is True
-        assert config.shift_hour == 3.0
-        assert config.shift_factor == 4.0
-        assert config.shift_source == "replay"
-        assert config.attack_mix == 0.25
-        assert config.attack_sophistication == 2.0
-
-    def test_from_env_invalid_combination_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAFFIC_SHIFT_SOURCE", "television")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert TrafficConfig.from_env() == TrafficConfig()
-            assert TrafficConfig.from_env() == TrafficConfig()
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "REPRO_TRAFFIC" in str(runtime[0].message)
-
     def test_validation_rejects_bad_configs(self):
         with pytest.raises(ValueError):
             TrafficConfig(households=0)

@@ -124,12 +124,9 @@ class TestRunCity:
         clock = StepClock(10.0)
         assert clock() == 10.0 and clock() == 20.0
 
-    def test_traffic_psi_default_yields_to_explicit_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MONITOR_PSI", raising=False)
+    def test_traffic_psi_threshold_is_fixed(self):
         config = _traffic_monitor_config()
-        assert config.psi_threshold == TRAFFIC_PSI_THRESHOLD
-        monkeypatch.setenv("REPRO_MONITOR_PSI", "0.2")
-        assert _traffic_monitor_config().psi_threshold == 0.2
+        assert config.psi_threshold == TRAFFIC_PSI_THRESHOLD == 0.40
 
 
 class _StubArray:
