@@ -62,12 +62,6 @@ class FacingDefinition:
             return NON_FACING
         return None
 
-    @property
-    def excluded_span(self) -> str:
-        """Human-readable description of the excluded arc."""
-        trained = self.facing_angles | self.non_facing_angles
-        return f"excludes angles outside {sorted(trained)}"
-
 
 def _angles(*values: float) -> frozenset[float]:
     out = set()
@@ -122,14 +116,6 @@ class HeadTalkConfig:
 
     Parameters
     ----------
-    device:
-        Prototype device name (D1/D2/D3).
-    n_channels_orientation:
-        Channels used for orientation detection (paper default: 4).
-    wake_word:
-        Wake word the pipeline listens for.
-    definition:
-        Facing definition for training labels.
     liveness_threshold:
         Minimum live-human probability to accept an utterance.
     facing_threshold:
@@ -140,17 +126,11 @@ class HeadTalkConfig:
         need to continuously face the device for the remaining session").
     """
 
-    device: str = "D2"
-    n_channels_orientation: int = 4
-    wake_word: str = "computer"
-    definition: FacingDefinition = DEFAULT_DEFINITION
     liveness_threshold: float = 0.5
     facing_threshold: float = 0.5
     session_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.n_channels_orientation < 2:
-            raise ValueError("orientation needs at least 2 channels")
         if not 0 < self.liveness_threshold < 1:
             raise ValueError("liveness_threshold must be in (0, 1)")
         if not 0 < self.facing_threshold < 1:

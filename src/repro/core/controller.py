@@ -95,11 +95,6 @@ class VoiceAssistantController:
         default_factory=threading.RLock, repr=False, compare=False
     )
 
-    @property
-    def session_active(self) -> bool:
-        """Whether a facing-verified session is currently open."""
-        return self._session_expiry > float("-inf")
-
     def session_open_at(self, now: float) -> bool:
         """Whether a session is open at the given time."""
         return now < self._session_expiry

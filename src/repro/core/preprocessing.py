@@ -35,6 +35,10 @@ CLIP_FRACTION_THRESHOLD = 0.01
 _CLIP_RAIL_RATIO = 0.995
 """Samples at or above this fraction of the capture peak count as railed."""
 
+VAD_THRESHOLD = 0.05
+"""A frame is speech when its energy exceeds this fraction of the
+reference channel's peak frame energy (:func:`repro.dsp.vad.detect_activity`)."""
+
 
 @dataclass(frozen=True)
 class ChannelHealth:
@@ -83,18 +87,14 @@ class ChannelHealth:
         }
 
 
-def screen_channels(
-    channels: np.ndarray,
-    dead_rms_ratio: float = DEAD_RMS_RATIO,
-    clip_fraction_threshold: float = CLIP_FRACTION_THRESHOLD,
-) -> ChannelHealth:
+def screen_channels(channels: np.ndarray) -> ChannelHealth:
     """Screen a raw ``(n_mics, n_samples)`` matrix for hardware faults.
 
     - *non-finite*: any NaN/Inf sample (ADC or driver corruption);
-    - *dead*: channel RMS more than ``dead_rms_ratio`` below the
+    - *dead*: channel RMS more than :data:`DEAD_RMS_RATIO` below the
       loudest finite channel (a silent capture flags nothing — silence
       is the VAD's job, not a hardware fault);
-    - *clipped*: more than ``clip_fraction_threshold`` of samples
+    - *clipped*: more than :data:`CLIP_FRACTION_THRESHOLD` of samples
       pinned at the capture's absolute peak (ADC saturation plateaus;
       ordinary audio touches its peak a handful of times).
     """
@@ -113,7 +113,7 @@ def screen_channels(
     dead: tuple[int, ...] = ()
     if loudest > 0.0:
         dead = tuple(
-            int(k) for k in np.nonzero(rms < dead_rms_ratio * loudest)[0]
+            int(k) for k in np.nonzero(rms < DEAD_RMS_RATIO * loudest)[0]
         )
 
     magnitude = np.abs(safe)
@@ -124,7 +124,7 @@ def screen_channels(
     else:
         clip_fraction = np.zeros(n_channels)
     clipped = tuple(
-        int(k) for k in np.nonzero(clip_fraction > clip_fraction_threshold)[0]
+        int(k) for k in np.nonzero(clip_fraction > CLIP_FRACTION_THRESHOLD)[0]
     )
     return ChannelHealth(
         n_channels=n_channels,
@@ -186,13 +186,7 @@ class DenoisedAudio:
         return spectrum
 
 
-def preprocess(
-    capture: Capture,
-    vad_threshold: float = 0.05,
-    normalize: bool = True,
-    screen: bool = True,
-    dtype=None,
-) -> DenoisedAudio:
+def preprocess(capture: Capture, normalize: bool = True) -> DenoisedAudio:
     """Denoise, trim and normalize a capture.
 
     Amplitude is normalized so the loudest channel peaks at 1.0 (the
@@ -200,12 +194,12 @@ def preprocess(
     as a trivial cue while keeping every inter-channel and spectral
     relationship intact.
 
-    With ``screen`` (the default) the raw channels pass through
-    :func:`screen_channels` first; non-finite samples are zeroed before
-    filtering so one corrupt channel cannot poison the band-pass or the
-    normalization, and the voice-activity decision uses the first
-    *healthy* channel.  Healthy captures take exactly the historical
-    path — screening changes no bit of their output.
+    The raw channels pass through :func:`screen_channels` first;
+    non-finite samples are zeroed before filtering so one corrupt
+    channel cannot poison the band-pass or the normalization, and the
+    voice-activity decision uses the first *healthy* channel.  Healthy
+    captures take exactly the historical path — screening changes no
+    bit of their output.
 
     The output channels are cast to the resolved decision dtype (see
     :mod:`repro.dsp.precision`) — a no-op on the float64 default.  The
@@ -214,21 +208,19 @@ def preprocess(
     precision, and the filter is not the hot cost.
     """
     channels = capture.channels
-    health: ChannelHealth | None = None
-    if screen:
-        with span("preprocess.screen"):
-            health = screen_channels(channels)
-        if health.non_finite:
-            channels = np.where(np.isfinite(channels), channels, 0.0)
+    with span("preprocess.screen"):
+        health = screen_channels(channels)
+    if health.non_finite:
+        channels = np.where(np.isfinite(channels), channels, 0.0)
     with span("preprocess.bandpass"):
         bandpass = headtalk_bandpass(capture.sample_rate)
         filtered = bandpass.apply(channels)
     reference_channel = 0
-    if health is not None and health.healthy and 0 not in health.healthy:
+    if health.healthy and 0 not in health.healthy:
         reference_channel = health.healthy[0]
     with span("preprocess.vad"):
         activity = detect_activity(
-            filtered[reference_channel], capture.sample_rate, vad_threshold
+            filtered[reference_channel], capture.sample_rate, VAD_THRESHOLD
         )
     had_speech = activity.is_speech
     if had_speech:
@@ -238,7 +230,7 @@ def preprocess(
         if peak > 0:
             filtered = filtered / peak
     return DenoisedAudio(
-        channels=filtered.astype(resolve_dtype(dtype), copy=False),
+        channels=filtered.astype(resolve_dtype(), copy=False),
         sample_rate=capture.sample_rate,
         had_speech=had_speech,
         health=health,

@@ -13,12 +13,14 @@ utterance — and emits an early verdict as soon as the evidence crosses
 the decision threshold with margin, before end of utterance.
 
 Each check waits for the prefix to grow by half since the last one
-(frames 4, 6, 10, 16, 24, 36, 54, … with the defaults), so the checked
-prefixes sum to at most three times the streamed frames and the cost
-of a streamed utterance stays linear in its length.  The accumulator
-is fed only while a check can still fire: after an early verdict, once
-a channel is voted out, or once the stream fails closed, it stops, and
-the decider counts frames from the samples it has seen.
+(frames 4, 6, 10, 16, 24, 36, 54, …), so the checked prefixes sum to
+at most three times the streamed frames and the cost of a streamed
+utterance stays linear in its length.  The accumulator is fed only
+while a check can still fire: after an early verdict, once a channel
+is voted out, or once the stream fails closed, it stops, and the
+decider counts frames from the samples it has seen.  The policy (frame
+geometry, check schedule, margins, hysteresis) is the module constants
+below, one value each.
 
 Two invariants keep early exit sound:
 
@@ -33,7 +35,7 @@ Two invariants keep early exit sound:
   outcome.
 
 Hysteresis guards the early checks: a rejection fires only after
-``consecutive`` successive checks land below threshold minus margin,
+:data:`CONSECUTIVE` successive checks land below threshold minus margin,
 and only while the accumulated SRP peak lag is stable between checks
 (orientation evidence still moving means the frame sum has not settled
 — don't trust a prefix score built on it).
@@ -69,11 +71,32 @@ from .pipeline import (
 )
 from .preprocessing import preprocess, screen_channels
 
-DEFAULT_FRAME_LENGTH = 2048
-"""Analysis frame in samples (~43 ms at 48 kHz)."""
+FRAME_LENGTH = 2048
+"""Evidence frame in samples (~43 ms at 48 kHz)."""
 
-DEFAULT_HOP_LENGTH = 2048
-"""Non-overlapping frames by default: each sample is judged once."""
+HOP_LENGTH = 2048
+"""Non-overlapping frames: each sample is judged once."""
+
+MIN_FRAMES = 4
+"""Frames before the first early check."""
+
+CHECK_EVERY = 2
+"""Minimum frames between early checks.  After a check at frame ``n``
+the next waits until frame ``n + CHECK_EVERY * ceil(n / (2 *
+CHECK_EVERY))``: the prefix grows by half."""
+
+CONSECUTIVE = 2
+"""Below-margin checks before an early rejection fires."""
+
+FACING_MARGIN = 0.10
+"""Early facing rejection needs the facing probability below
+``facing_threshold - FACING_MARGIN``: the safety band that keeps
+borderline prefixes from rejecting utterances the full capture would
+accept."""
+
+LIVENESS_MARGIN = 0.25
+"""The same safety band under ``liveness_threshold`` for early
+liveness rejection."""
 
 MIN_SCREEN_SAMPLES = 512
 """Chunks shorter than this skip per-chunk health screening (too noisy)."""
@@ -188,20 +211,6 @@ class StreamingDecider:
     check_liveness:
         Forwarded to the final ``evaluate`` and mirrored by the early
         checks (liveness strikes are skipped when off).
-    frame_length, hop_length:
-        Evidence frame geometry, in samples.
-    min_frames:
-        Frames required before the first early check.
-    check_every:
-        Minimum frames between early checks.  After a check at frame
-        ``n`` the next waits until frame ``n + check_every *
-        ceil(n / (2 * check_every))``: the prefix grows by half.
-    consecutive:
-        Below-margin checks required before an early rejection fires.
-    facing_margin, liveness_margin:
-        Early rejection needs the score below ``threshold - margin`` —
-        the safety band that keeps borderline prefixes from rejecting
-        utterances the full capture would accept.
     buffer:
         Optional sample store (see :class:`_GrowBuffer` for the
         protocol); the serving layer passes its bounded ring.
@@ -219,13 +228,6 @@ class StreamingDecider:
         pipeline: HeadTalkPipeline,
         *,
         check_liveness: bool = True,
-        frame_length: int = DEFAULT_FRAME_LENGTH,
-        hop_length: int = DEFAULT_HOP_LENGTH,
-        min_frames: int = 4,
-        check_every: int = 2,
-        consecutive: int = 2,
-        facing_margin: float = 0.10,
-        liveness_margin: float = 0.25,
         buffer=None,
         call: str = "streaming",
         session_id: str = "",
@@ -233,20 +235,9 @@ class StreamingDecider:
         truth: bool | None = None,
         slices: dict | None = None,
     ):
-        if min_frames < 1 or check_every < 1 or consecutive < 1:
-            raise ValueError("min_frames, check_every and consecutive must be >= 1")
-        if facing_margin < 0 or liveness_margin < 0:
-            raise ValueError("margins must be >= 0")
         self.pipeline = pipeline
         self.plan = plan_for(pipeline.array)
         self.check_liveness = bool(check_liveness)
-        self.frame_length = int(frame_length)
-        self.hop_length = int(hop_length)
-        self.min_frames = int(min_frames)
-        self.check_every = int(check_every)
-        self.consecutive = int(consecutive)
-        self.facing_margin = float(facing_margin)
-        self.liveness_margin = float(liveness_margin)
         self.call = call
         self.session_id = session_id
         self.utterance_id = utterance_id
@@ -258,8 +249,8 @@ class StreamingDecider:
             n_mics,
             self.plan.pair_list,
             self.plan.max_lag,
-            self.frame_length,
-            self.hop_length,
+            FRAME_LENGTH,
+            HOP_LENGTH,
         )
         self.buffer = _GrowBuffer(n_mics) if buffer is None else buffer
         self.early: EarlyVerdict | None = None
@@ -271,7 +262,7 @@ class StreamingDecider:
         self._liveness_strikes = 0
         self._facing_strikes = 0
         self._last_srp_lag: int | None = None
-        self._next_check_frame = max(self.min_frames, self.check_every)
+        self._next_check_frame = max(MIN_FRAMES, CHECK_EVERY)
         self._started = time.perf_counter()
         self._result: StreamingResult | None = None
 
@@ -292,9 +283,9 @@ class StreamingDecider:
         Counted from the samples, because the accumulator stops once no
         further early check can fire.
         """
-        if self.samples_seen < self.frame_length:
+        if self.samples_seen < FRAME_LENGTH:
             return 0
-        return 1 + (self.samples_seen - self.frame_length) // self.hop_length
+        return 1 + (self.samples_seen - FRAME_LENGTH) // HOP_LENGTH
 
     def push(self, chunk: np.ndarray) -> EarlyVerdict | None:
         """Absorb one PCM chunk; returns the early verdict when it fires.
@@ -436,9 +427,9 @@ class StreamingDecider:
     def _early_check(self, n_frames: int) -> EarlyVerdict | None:
         """One prefix evaluation against the thresholds-with-margin."""
         # The next check waits until the prefix has grown by half, rounded
-        # up to whole ``check_every`` steps: the checked prefixes then sum
+        # up to whole ``CHECK_EVERY`` steps: the checked prefixes then sum
         # to at most three times the frames streamed, not to their square.
-        step = self.check_every
+        step = CHECK_EVERY
         self._next_check_frame = n_frames + step * -(-n_frames // (2 * step))
         self.checks += 1
 
@@ -452,7 +443,7 @@ class StreamingDecider:
         if not stable and self.checks > 1:
             return None
 
-        prefix_samples = n_frames * self.hop_length
+        prefix_samples = n_frames * HOP_LENGTH
         if prefix_samples < self.plan.min_samples:
             return None
         prefix = Capture(
@@ -478,9 +469,9 @@ class StreamingDecider:
                     score = self.pipeline._liveness_score(audio, gcc)
                 except _FEATURE_ERRORS:
                     return None
-                if np.isfinite(score) and score < config.liveness_threshold - self.liveness_margin:
+                if np.isfinite(score) and score < config.liveness_threshold - LIVENESS_MARGIN:
                     self._liveness_strikes += 1
-                    if self._liveness_strikes >= self.consecutive:
+                    if self._liveness_strikes >= CONSECUTIVE:
                         return self._fire(REJECT_MECHANICAL, score=score)
                     # Mirror the batch stage order: a liveness strike
                     # short-circuits the orientation check this round.
@@ -493,9 +484,9 @@ class StreamingDecider:
                 probability = self.pipeline._orientation_probability(audio, gcc)
             except _FEATURE_ERRORS:
                 return None
-            if probability < config.facing_threshold - self.facing_margin:
+            if probability < config.facing_threshold - FACING_MARGIN:
                 self._facing_strikes += 1
-                if self._facing_strikes >= self.consecutive:
+                if self._facing_strikes >= CONSECUTIVE:
                     return self._fire(REJECT_NON_FACING, score=probability)
             else:
                 self._facing_strikes = 0

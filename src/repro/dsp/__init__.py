@@ -54,7 +54,7 @@ from .stats import (
 )
 from .stft import log_mel_like_features, mean_power_spectrum, power_spectrogram, stft
 from .streaming import FrameFeed, GccAccumulator
-from .vad import VadResult, detect_activity, short_time_energy, trim_to_activity
+from .vad import VadResult, detect_activity, short_time_energy
 from .windows import frame_signal, get_window, hamming, hann
 
 __all__ = [
@@ -115,5 +115,4 @@ __all__ = [
     "summary_vector",
     "to_liveness_input",
     "top_k_peaks",
-    "trim_to_activity",
 ]

@@ -1,7 +1,8 @@
-"""Energy-based voice activity detection and utterance trimming.
+"""Energy-based voice activity detection.
 
 The preprocessing block "captures the wake command"; in this reproduction
-a lightweight short-time-energy VAD finds the active region of a capture
+a lightweight short-time-energy VAD finds the active region of a capture,
+and :func:`repro.core.preprocessing.preprocess` trims every channel to it
 so features are computed on the utterance rather than leading/trailing
 silence.
 """
@@ -68,23 +69,3 @@ def detect_activity(
     start = first * hop_length
     end = min(x.size, last * hop_length + frame_length)
     return VadResult(start, end, active)
-
-
-def trim_to_activity(
-    channels: np.ndarray,
-    sample_rate: int,
-    reference_channel: int = 0,
-    threshold_ratio: float = 0.05,
-) -> np.ndarray:
-    """Trim a (possibly multi-channel) capture to its active region.
-
-    The VAD runs on one reference channel and the same cut is applied to
-    every channel so inter-channel delays are preserved.  Returns the
-    input unchanged when no activity is found.
-    """
-    x = np.atleast_2d(np.asarray(channels, dtype=float))
-    result = detect_activity(x[reference_channel], sample_rate, threshold_ratio)
-    if not result.is_speech:
-        return x if np.asarray(channels).ndim == 2 else x[0]
-    trimmed = x[:, result.start : result.end]
-    return trimmed if np.asarray(channels).ndim == 2 else trimmed[0]

@@ -11,6 +11,7 @@ and, when a path is configured — ``REPRO_AUDIT_LOG`` or
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import threading
@@ -108,6 +109,9 @@ class AuditLog:
 
 
 _LOG = AuditLog(path=os.environ.get("REPRO_AUDIT_LOG") or None)
+# Records are line-buffered, so closing at exit loses nothing; it only
+# keeps the open handle from surfacing as an unclosed-file warning.
+atexit.register(_LOG.close)
 
 
 def audit_log() -> AuditLog:

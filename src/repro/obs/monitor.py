@@ -48,9 +48,10 @@ log::
 tolerance in percentage points (exit 1 on regression, mirroring
 ``python -m repro.obs.bench --compare``).
 
-Drift thresholds, window sizes and slice-bucket edges are
-:class:`MonitorConfig` fields; :func:`reset_monitor` installs a config
-on the process-global monitor.
+Window sizes, detector tuning and slice-bucket edges are module
+constants; the PSI alert level is the one :class:`MonitorConfig` field,
+and :func:`reset_monitor` installs a config on the process-global
+monitor.
 
 Module imports stay stdlib-only like the rest of :mod:`repro.obs`;
 numpy enters only lazily through :mod:`repro.ml.calibration` when an
@@ -119,52 +120,65 @@ def _check_attack_label(source: str) -> None:
         )
 
 
+REFERENCE_SIZE = 200
+"""Scores frozen as a stream's calibration-time reference sample."""
+
+WINDOW = 256
+"""Rolling window compared against the reference.  PSI and KS run only
+once it is full: small windows bias PSI high (E[PSI] ≈ (bins-1)·(1/n +
+1/m) under no drift) and the detectors re-test every overlapping
+window, so early small-sample statistics false-alarm on perfectly
+stationary streams."""
+
+HISTOGRAM_BINS = 10
+"""Quantile bins of the reference histogram PSI compares."""
+
+KS_COEFFICIENT = 1.95
+"""Scale ``c`` of the two-sample KS critical value ``c * sqrt((n + m) /
+(n * m))``: ~α = 0.001 for a single test.  The stream re-tests every
+observation on overlapping windows, so the looser textbook 1.36
+(α = 0.05) fires spuriously on stationary streams."""
+
+PH_DELTA_SIGMA = 0.25
+"""Page–Hinkley tolerance, in reference standard deviations.  The
+anchor is the reference-sample mean, which itself carries a standard
+error of σ/sqrt(REFERENCE_SIZE) ≈ 0.07σ; the tolerance must dominate
+that estimation error or an unlucky reference drifts the detector into
+a false alarm on a perfectly stationary stream."""
+
+PH_LAMBDA_SIGMA = 50.0
+"""Page–Hinkley alarm threshold, in reference standard deviations."""
+
+CALIBRATION_WINDOW = 512
+"""``(facing_probability, truth)`` pairs in the rolling ECE window."""
+
+CALIBRATION_BINS = 10
+"""Reliability bins of the rolling ECE."""
+
+ANGLE_EDGES = (45.0, 90.0, 135.0)
+"""Slice-bucket edges of ``|angle|``, in degrees."""
+
+DISTANCE_EDGES = (2.0, 4.0)
+"""Slice-bucket edges of the speaker distance, in metres."""
+
+SNR_EDGES = (5.0, 15.0)
+"""Slice-bucket edges of source loudness over ambient level, in dB."""
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Tunables for the decision-quality monitor.
+    """The decision-quality monitor's alert level.
 
-    Drift-detector parameters are expressed against the frozen
-    reference sample: ``ph_delta_sigma``/``ph_lambda_sigma`` are in
-    units of the reference standard deviation, ``psi_threshold`` is the
-    usual industry alert level (0.2 = significant shift) and
-    ``ks_coefficient`` scales the classical two-sample critical value
-    ``c * sqrt((n + m) / (n * m))`` (1.36 ≈ α = 0.05).
+    ``psi_threshold`` is the one drift tunable callers set: the traffic
+    drive alerts at 0.40 on its six-mode score mixture
+    (:mod:`repro.traffic.drive`).  Everything else is a module constant.
     """
 
-    reference_size: int = 200
-    window: int = 256
-    # PSI/KS wait for a full default window: small windows bias PSI high
-    # (E[PSI] ≈ (bins-1)·(1/n + 1/m) under no drift) and the detectors
-    # re-test every overlapping window, so early small-sample statistics
-    # false-alarm on perfectly stationary streams.  A ``window`` below
-    # this is tested once it is full (:class:`ScoreStream` clamps).
-    min_window: int = 256
-    histogram_bins: int = 10
     # A full stationary window already carries E[PSI] ≈ 0.08 of pure
     # sampling noise at these sizes, and the monitor re-tests every
     # overlapping window, so the alert level sits at the industry
     # "major shift" 0.25 rather than the single-test 0.2.
     psi_threshold: float = 0.25
-    # ~α = 0.001 for a single two-sample test; the stream re-tests every
-    # observation on overlapping windows, so the looser textbook 1.36
-    # (α = 0.05) fires spuriously on stationary streams.
-    ks_coefficient: float = 1.95
-    # The Page–Hinkley anchor is the reference-sample mean, which
-    # itself carries a standard error of σ/sqrt(reference_size) ≈ 0.07σ
-    # at the default sizes; the tolerance must dominate that estimation
-    # error or an unlucky reference drifts the detector into a false
-    # alarm on a perfectly stationary stream.
-    ph_delta_sigma: float = 0.25
-    ph_lambda_sigma: float = 50.0
-    calibration_window: int = 512
-    calibration_bins: int = 10
-    angle_edges: tuple = (45.0, 90.0, 135.0)
-    distance_edges: tuple = (2.0, 4.0)
-    snr_edges: tuple = (5.0, 15.0)
-
-    def __post_init__(self) -> None:
-        if self.reference_size < 1 or self.window < 1:
-            raise ValueError("reference_size and window must be >= 1")
 
 
 def _fmt_edge(value: float) -> str:
@@ -185,7 +199,7 @@ def bucket_label(value: float, edges) -> str:
     return f"{_fmt_edge(edges[index - 1])}-{_fmt_edge(edges[index])}"
 
 
-def slices_from_meta(meta, ambient_db_spl=None, config: MonitorConfig | None = None) -> dict:
+def slices_from_meta(meta, ambient_db_spl=None) -> dict:
     """Slice labels for one capture's scene metadata.
 
     Accepts an :class:`~repro.datasets.store.UtteranceMeta` (or any
@@ -194,7 +208,6 @@ def slices_from_meta(meta, ambient_db_spl=None, config: MonitorConfig | None = N
     ``UtteranceMeta`` carries source loudness only — so it appears only
     when ``ambient_db_spl`` is supplied.
     """
-    config = config or MonitorConfig()
     if isinstance(meta, dict):
         get = meta.get
     else:
@@ -205,16 +218,16 @@ def slices_from_meta(meta, ambient_db_spl=None, config: MonitorConfig | None = N
     slices: dict[str, str] = {}
     angle = get("angle_deg")
     if angle is not None:
-        slices["angle"] = bucket_label(abs(float(angle)), config.angle_edges)
+        slices["angle"] = bucket_label(abs(float(angle)), ANGLE_EDGES)
     distance = get("distance_m")
     if distance is not None:
-        slices["distance"] = bucket_label(float(distance), config.distance_edges)
+        slices["distance"] = bucket_label(float(distance), DISTANCE_EDGES)
     device = get("device")
     if device is not None:
         slices["device"] = str(device)
     loudness = get("loudness_db")
     if ambient_db_spl is not None and loudness is not None:
-        slices["snr"] = bucket_label(float(loudness) - float(ambient_db_spl), config.snr_edges)
+        slices["snr"] = bucket_label(float(loudness) - float(ambient_db_spl), SNR_EDGES)
     return slices
 
 
@@ -386,10 +399,7 @@ class ScoreStream:
         self.count = 0
         self.reference: list[float] = []
         self.frozen = False
-        self.window: deque = deque(maxlen=config.window)
-        # The window never holds more than ``config.window`` scores, so
-        # a larger minimum would keep PSI and KS from ever running.
-        self.min_window = min(config.min_window, config.window)
+        self.window: deque = deque(maxlen=WINDOW)
         self.alarms: list[DriftAlarm] = []
         self._ref_sorted: list[float] = []
         self._ref_fractions: list[float] = []
@@ -412,7 +422,7 @@ class ScoreStream:
         # tail bins whose sampling fluctuations alone spike the PSI on
         # stationary streams.  Duplicate quantiles (discrete scores)
         # collapse into wider bins.
-        bins = self.config.histogram_bins
+        bins = HISTOGRAM_BINS
         edges: list[float] = []
         for k in range(1, bins):
             edge = self._ref_sorted[min(round(k * len(ref) / bins), len(ref) - 1)]
@@ -428,8 +438,8 @@ class ScoreStream:
         variance = sum((s - self._ref_mean) ** 2 for s in ref) / len(ref)
         self._ref_std = max(math.sqrt(variance), 1e-9)
         self._ph = PageHinkley(
-            delta=self.config.ph_delta_sigma * self._ref_std,
-            lamb=self.config.ph_lambda_sigma * self._ref_std,
+            delta=PH_DELTA_SIGMA * self._ref_std,
+            lamb=PH_LAMBDA_SIGMA * self._ref_std,
             mean=self._ref_mean,
         )
         self.frozen = True
@@ -442,13 +452,13 @@ class ScoreStream:
 
     def psi(self) -> float | None:
         """PSI of the current window against the reference histogram."""
-        if not self.frozen or len(self.window) < self.min_window:
+        if not self.frozen or len(self.window) < WINDOW:
             return None
         return population_stability_index(self._ref_fractions, self._window_fractions())
 
     def ks(self) -> float | None:
         """Two-sample KS statistic of window vs reference."""
-        if not self.frozen or len(self.window) < self.min_window:
+        if not self.frozen or len(self.window) < WINDOW:
             return None
         return ks_statistic(self._ref_sorted, self.window)
 
@@ -457,14 +467,14 @@ class ScoreStream:
         if not self.frozen or not self.window:
             return None
         n, m = len(self._ref_sorted), len(self.window)
-        return self.config.ks_coefficient * math.sqrt((n + m) / (n * m))
+        return KS_COEFFICIENT * math.sqrt((n + m) / (n * m))
 
     def observe(self, score: float) -> list[DriftAlarm]:
         """Feed one score; returns the alarms this observation raised."""
         self.count += 1
         if not self.frozen:
             self.reference.append(float(score))
-            if len(self.reference) >= self.config.reference_size:
+            if len(self.reference) >= REFERENCE_SIZE:
                 self._freeze()
             return []
         self.window.append(float(score))
@@ -481,7 +491,7 @@ class ScoreStream:
                     direction=direction,
                 )
             )
-        if len(self.window) >= self.min_window:
+        if len(self.window) >= WINDOW:
             psi = self.psi()
             raised.extend(self._edge("psi", psi, self.config.psi_threshold))
             raised.extend(self._edge("ks", self.ks(), self.ks_critical()))
@@ -524,9 +534,8 @@ class ScoreStream:
 class RollingCalibration:
     """Rolling reliability window scored via :mod:`repro.ml.calibration`."""
 
-    def __init__(self, window: int, bins: int) -> None:
-        self.bins = bins
-        self.pairs: deque = deque(maxlen=window)
+    def __init__(self) -> None:
+        self.pairs: deque = deque(maxlen=CALIBRATION_WINDOW)
 
     def update(self, probability: float, truth: bool) -> None:
         self.pairs.append((float(probability), 1 if truth else 0))
@@ -541,7 +550,9 @@ class RollingCalibration:
         truths = [t for _, t in self.pairs]
         return {
             "n": len(self.pairs),
-            "ece": float(expected_calibration_error(truths, probabilities, n_bins=self.bins)),
+            "ece": float(
+                expected_calibration_error(truths, probabilities, n_bins=CALIBRATION_BINS)
+            ),
             "brier": float(brier_score(truths, probabilities)),
         }
 
@@ -581,9 +592,7 @@ class DecisionMonitor:
                 "facing_probability": ScoreStream("facing_probability", self.config),
                 "liveness_score": ScoreStream("liveness_score", self.config),
             }
-            self.calibration = RollingCalibration(
-                self.config.calibration_window, self.config.calibration_bins
-            )
+            self.calibration = RollingCalibration()
             self.alarms: list[DriftAlarm] = []
 
     def set_reference(self, stream: str, scores) -> None:

@@ -48,7 +48,6 @@ import json
 
 import numpy as np
 
-from ..core.controller import Mode
 from ..core.pipeline import HeadTalkPipeline
 from ..obs import counter_inc, gauge_set, windowed_inc
 from ..obs.control import env_truthy
@@ -75,20 +74,22 @@ def _is_audio_length(size) -> bool:
 
 
 class ServingGateway:
-    """One serving process: a TCP listener multiplexing device sessions."""
+    """One serving process: a TCP listener multiplexing device sessions.
+
+    Every session starts in HEADTALK mode, the :class:`DeviceSession`
+    default; a client's ``mute`` and ``command`` ops change it.
+    """
 
     def __init__(
         self,
         pipeline: HeadTalkPipeline,
         config: ServingConfig | None = None,
         *,
-        mode: Mode = Mode.HEADTALK,
         clock=None,
         live_config=None,
     ):
         self.pipeline = pipeline
         self.config = config or ServingConfig()
-        self.mode = mode
         self.clock = clock
         self.live_config = live_config
         self.live = None
@@ -157,11 +158,9 @@ class ServingGateway:
             return
         session_id = f"s{next(self._ids):06d}"
         if self.clock is None:
-            session = DeviceSession(session_id, self.pipeline, self.config, mode=self.mode)
+            session = DeviceSession(session_id, self.pipeline, self.config)
         else:
-            session = DeviceSession(
-                session_id, self.pipeline, self.config, mode=self.mode, clock=self.clock
-            )
+            session = DeviceSession(session_id, self.pipeline, self.config, clock=self.clock)
         self.sessions[session_id] = session
         gauge_set("serving.active_sessions", len(self.sessions))
         try:

@@ -86,17 +86,9 @@ class DeviceSession:
         self.utterance_id = f"{self.session_id}-u{self.utterances + 1:04d}"
         gated = self.controller.needs_gate(now)
         if gated:
-            cfg = self.config
             self.decider = StreamingDecider(
                 self.pipeline,
-                check_liveness=cfg.check_liveness,
-                frame_length=cfg.frame_length,
-                hop_length=cfg.hop_length,
-                min_frames=cfg.min_frames,
-                check_every=cfg.check_every,
-                consecutive=cfg.consecutive,
-                facing_margin=cfg.facing_margin,
-                liveness_margin=cfg.liveness_margin,
+                check_liveness=self.config.check_liveness,
                 buffer=self.ring,
                 call="serving",
                 session_id=self.session_id,

@@ -103,10 +103,6 @@ class StepClock:
         return self.t
 
 
-# Original (pre-traffic) private name, kept for callers of the soak module.
-_StepClock = StepClock
-
-
 async def run_soak(
     pipeline: HeadTalkPipeline,
     captures: list,

@@ -70,6 +70,10 @@ _SOURCE_DAYPART = {
     "attack-speakear": {"night": 1.0, "morning": 1.0, "day": 1.0, "evening": 1.0},
 }
 
+SHIFT_SOURCE = "loudspeaker"
+"""The source whose weight ``config.shift`` multiplies from
+``shift_hour`` on: the TV turning on citywide."""
+
 _HUMAN_SOURCES = frozenset({"live-facing", "live-averted", "conversation"})
 
 
@@ -141,7 +145,7 @@ def _source_weights(
         if (
             config.shift
             and t >= config.shift_hour * 3600.0
-            and source == config.shift_source
+            and source == SHIFT_SOURCE
         ):
             weight *= config.shift_factor
         weights.append(weight)

@@ -81,7 +81,6 @@ class TrafficConfig:
     shift: bool = False
     shift_hour: float = 12.0
     shift_factor: float = 8.0
-    shift_source: str = "loudspeaker"
     attack_mix: float = 0.0
     attack_sophistication: float = 1.0
 
@@ -105,18 +104,12 @@ class TrafficConfig:
             weight > 0 for _, weight in self.mix
         ):
             raise ValueError("mix weights must be >= 0 with a positive total")
-        if self.shift_source not in SOURCES:
-            raise ValueError(f"unknown shift source {self.shift_source!r}")
         if self.shift_hour < 0 or self.shift_factor <= 0:
             raise ValueError("shift_hour must be >= 0 and shift_factor positive")
         if not 0.0 <= self.attack_mix < 1.0:
             raise ValueError("attack_mix must be in [0, 1)")
         if self.attack_sophistication < 0:
             raise ValueError("attack_sophistication must be >= 0")
-
-    def mix_weight(self, source: str) -> float:
-        """The stationary relative weight of one source (0.0 if absent)."""
-        return dict(self.event_mix()).get(source, 0.0)
 
     def event_mix(self) -> tuple[tuple[str, float], ...]:
         """The mix events are actually drawn from: base + attack labels.

@@ -168,7 +168,6 @@ async def run_city(
     *,
     config: ServingConfig | None = None,
     chunk_samples: int = 16384,
-    max_open: int = MAX_OPEN_CONNECTIONS,
 ) -> dict:
     """Replay ``events`` through a live gateway; returns raw drive stats.
 
@@ -180,7 +179,8 @@ async def run_city(
     config = config or ServingConfig()
     devices = {(e.household, e.device) for e in events}
     config = dataclasses.replace(
-        config, max_sessions=max(config.max_sessions, min(len(devices), max_open) + 8)
+        config,
+        max_sessions=max(config.max_sessions, min(len(devices), MAX_OPEN_CONNECTIONS) + 8),
     )
     expected = {
         key: _json_fingerprint(pipeline.evaluate(capture, config.check_liveness))
@@ -217,7 +217,7 @@ async def run_city(
         if key in connections:
             connections.move_to_end(key)
             return connections[key]
-        if len(connections) >= max_open:
+        if len(connections) >= MAX_OPEN_CONNECTIONS:
             _, (_, old_writer) = connections.popitem(last=False)
             await close_session(old_writer)
         reader, writer, hello = await open_session(host, port)

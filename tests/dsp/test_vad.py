@@ -1,9 +1,9 @@
-"""Tests for energy VAD and activity trimming."""
+"""Tests for energy VAD."""
 
 import numpy as np
 import pytest
 
-from repro.dsp import detect_activity, short_time_energy, trim_to_activity
+from repro.dsp import detect_activity, short_time_energy
 
 FS = 48_000
 
@@ -52,22 +52,3 @@ class TestDetectActivity:
         assert result.is_speech
         assert result.start == 0
 
-
-class TestTrim:
-    def test_multichannel_consistent_cut(self):
-        x = burst_signal()
-        stacked = np.stack([x, 0.5 * x])
-        trimmed = trim_to_activity(stacked, FS)
-        assert trimmed.shape[0] == 2
-        assert trimmed.shape[1] < stacked.shape[1]
-        # Inter-channel ratio preserved exactly (same cut applied).
-        assert np.allclose(trimmed[1], 0.5 * trimmed[0])
-
-    def test_single_channel_shape(self):
-        trimmed = trim_to_activity(burst_signal(), FS)
-        assert trimmed.ndim == 1
-
-    def test_silence_returned_unchanged(self):
-        x = np.zeros((2, FS // 4))
-        trimmed = trim_to_activity(x, FS)
-        assert trimmed.shape == x.shape

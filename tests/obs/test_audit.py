@@ -1,7 +1,13 @@
 """Audit log: in-memory ring, JSONL sink round-trip, no-op mode."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
+
+import repro
 
 from repro.obs import (
     audit_log,
@@ -167,3 +173,30 @@ class TestGlobalLog:
             log.log({"event": str(k)})
         log.configure(capacity=2)
         assert [r["event"] for r in log.records()] == ["2", "3"]
+
+
+def test_env_sink_closed_at_exit(tmp_path):
+    path = tmp_path / "exit.jsonl"
+    env = dict(os.environ)
+    env.update(
+        PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        REPRO_OBS="1",
+        REPRO_AUDIT_LOG=str(path),
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "always::ResourceWarning",
+            "-c",
+            "from repro.obs import audit_record; audit_record('probe', n=1)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    (record,) = read_jsonl(path)
+    assert record["event"] == "probe" and record["n"] == 1

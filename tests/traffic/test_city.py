@@ -93,8 +93,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrafficConfig(mix=(("live-facing", 0.0),))
         with pytest.raises(ValueError):
-            TrafficConfig(shift_source="tv")
-        with pytest.raises(ValueError):
             TrafficConfig(attack_mix=1.0)
         with pytest.raises(ValueError):
             TrafficConfig(attack_mix=-0.1)

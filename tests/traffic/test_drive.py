@@ -8,7 +8,7 @@ from repro.obs import monitor as obs_monitor
 from repro.obs.live import LiveConfig
 from repro.obs.monitor import decision_monitor, monitor_snapshot
 from repro.serving import ServingConfig, ServingGateway
-from repro.serving.soak import StepClock, _StepClock
+from repro.serving.soak import StepClock
 from repro.traffic import CaptureBank, TrafficConfig, generate_city
 from repro.traffic.drive import (
     TRAFFIC_PSI_THRESHOLD,
@@ -119,8 +119,7 @@ class TestRunCity:
         broken["sources"] = {"live-facing": {"tp": 4, "fp": 1, "tn": 0, "fn": 0}}
         assert drive_problems(stats, broken) != []
 
-    def test_step_clock_exported_with_back_compat_alias(self):
-        assert StepClock is _StepClock
+    def test_step_clock_exported(self):
         clock = StepClock(10.0)
         assert clock() == 10.0 and clock() == 20.0
 
