@@ -8,9 +8,10 @@ SVM) runs here in both precisions over the same rendered captures:
   must stay bit-stable;
 - the opt-in ``float32`` path through ``evaluate_batch`` (single-
   precision FFTs + one batched transform per utterance group), which
-  must beat the float64 per-capture reference outright;
-- the frame-granular ``pairwise_gcc_frames`` API against an equivalent
-  per-frame loop — the batched transform must win.
+  must beat the float64 per-capture reference outright.
+
+The gate and captures are the soak's (``repro.serving.soak``'s
+``build_pipeline(0)`` and ``build_captures(1)``).
 
 Every number lands in ``benchmarks/results/BENCH_decision.json``
 (schema ``repro.obs.bench/1``); CI gates it against the committed
@@ -25,18 +26,11 @@ import time
 
 import numpy as np
 
-from repro.arrays.devices import default_channel_subset, get_device
-from repro.core.config import DEFAULT_DEFINITION
-from repro.core.liveness import LIVE_HUMAN, MECHANICAL, LivenessDetector
-from repro.core.pipeline import HeadTalkPipeline
-from repro.core.preprocessing import preprocess
-from repro.datasets import TINY
-from repro.datasets.collection import CollectionSpec, collect
-from repro.dsp import pairwise_gcc, pairwise_gcc_frames, precision, srp_max_lag_for
-from repro.experiments.common import default_dataset, fit_detector
+from repro.dsp import precision
 from repro.obs import bench as obs_bench
 from repro.obs.bench import BenchReport
 from repro.reporting import ExperimentResult
+from repro.serving.soak import build_captures, build_pipeline
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "BENCH_decision.json"
@@ -44,41 +38,10 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "BENCH_decision.js
 _REPORT = BenchReport("decision")
 
 _ROUNDS = 3
-_SETUP: dict = {}
-
-
-def _setup():
-    """Pipeline + evaluation captures, built once per session."""
-    if _SETUP:
-        return _SETUP["pipeline"], _SETUP["captures"]
-    seed = 0
-    detector = fit_detector(default_dataset(TINY, seed), DEFAULT_DEFINITION)
-    device = get_device("D2")
-    array = device.subset(default_channel_subset(device))
-
-    spec = CollectionSpec(
-        room="lab",
-        device="D2",
-        wake_word="computer",
-        locations=((1.0, 0.0), (2.0, 45.0)),
-        angles=(0.0, 90.0, 180.0),
-        repetitions=1,
-    )
-    captures = [capture for _, capture in collect(spec, seed + 1)]
-
-    liveness = LivenessDetector(epochs=1, random_state=seed)
-    waveforms = [preprocess(c).reference for c in captures[:4]]
-    labels = np.asarray([LIVE_HUMAN, MECHANICAL, LIVE_HUMAN, MECHANICAL])
-    liveness.fit(waveforms, labels, array.sample_rate)
-
-    pipeline = HeadTalkPipeline(array=array, liveness=liveness, orientation=detector)
-    _SETUP["pipeline"] = pipeline
-    _SETUP["captures"] = captures
-    return pipeline, captures
 
 
 def test_bench_decision_throughput(benchmark, record_result):
-    pipeline, captures = _setup()
+    pipeline, captures = build_pipeline(0), build_captures(1)
 
     def measure():
         # Warmup: scipy FFT-plan/filter caches, BLAS spin-up, and the
@@ -111,7 +74,7 @@ def test_bench_decision_throughput(benchmark, record_result):
     latencies_ms, reference, fast_s, fast_decisions = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
-    n = len(_SETUP["captures"])
+    n = len(captures)
 
     float64_ms = float(np.mean(latencies_ms))
     p95_ms = float(np.percentile(latencies_ms, 95))
@@ -183,100 +146,9 @@ def test_bench_decision_throughput(benchmark, record_result):
     _REPORT.add_metric("decision.float32_verdicts_match", verdicts_match, kind="equivalence")
 
 
-def test_bench_frame_batched_gcc(benchmark, record_result):
-    """One batched transform over all frames beats a per-frame loop."""
-    _, captures = _setup()
-    array = get_device("D2").subset(default_channel_subset(get_device("D2")))
-    pairs = array.pairs()
-    max_lag = srp_max_lag_for(array)
-    channels = preprocess(captures[0]).channels
-    frame_length, hop_length = 1024, 512
-
-    def measure():
-        # Warmup both paths.
-        batched = pairwise_gcc_frames(channels, pairs, max_lag, frame_length, hop_length)
-        n_frames = batched.shape[0]
-
-        def frame(k):
-            start = k * hop_length
-            chunk = channels[:, start : start + frame_length]
-            if chunk.shape[1] < frame_length:
-                chunk = np.pad(chunk, ((0, 0), (0, frame_length - chunk.shape[1])))
-            return chunk
-
-        def run_looped():
-            return np.stack([pairwise_gcc(frame(k), pairs, max_lag) for k in range(n_frames)])
-
-        def run_batched():
-            return pairwise_gcc_frames(channels, pairs, max_lag, frame_length, hop_length)
-
-        def timed(run, seconds):
-            start = time.perf_counter()
-            out = run()
-            seconds.append(time.perf_counter() - start)
-            return out
-
-        looped_s, batched_s = [], []
-        for round_index in range(_ROUNDS):
-            # Interleave the paths and alternate which goes first, so host
-            # drift during the measurement lands on both alike.
-            if round_index % 2:
-                batched = timed(run_batched, batched_s)
-                looped = timed(run_looped, looped_s)
-            else:
-                looped = timed(run_looped, looped_s)
-                batched = timed(run_batched, batched_s)
-        return looped, batched, min(looped_s), min(batched_s)
-
-    looped, batched, looped_s, batched_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    # Frame batching re-groups the same transforms: equal to within a
-    # ulp (numpy's elementwise kernels round the whitening differently
-    # across batch shapes, so this is allclose, not array_equal).
-    identical = bool(np.allclose(looped, batched, rtol=1e-9, atol=1e-12))
-    assert identical
-    speedup = looped_s / batched_s
-    assert speedup > 1.0
-
-    record_result(
-        ExperimentResult(
-            experiment_id="R03",
-            title="Frame-granular GCC: batched transform vs per-frame loop",
-            headers=["path", "seconds", "speedup"],
-            rows=[
-                {"path": "per-frame loop", "seconds": round(looped_s, 4), "speedup": 1.0},
-                {
-                    "path": "batched frames",
-                    "seconds": round(batched_s, 4),
-                    "speedup": round(speedup, 2),
-                },
-            ],
-            paper="(infrastructure benchmark; no paper counterpart)",
-            summary={
-                "n_frames": int(batched.shape[0]),
-                "batched_gcc_speedup": round(speedup, 2),
-                "matches_loop": identical,
-            },
-        )
-    )
-
-    _REPORT.add_metric("frames.n_frames", int(batched.shape[0]), kind="equivalence")
-    _REPORT.add_metric("frames.per_frame_seconds", looped_s, unit="s")
-    _REPORT.add_metric("frames.batched_seconds", batched_s, unit="s")
-    _REPORT.add_metric(
-        "frames.batched_gcc_speedup",
-        speedup,
-        kind="ratio",
-        direction="higher",
-        gate=False,
-    )
-    _REPORT.add_metric("frames.batched_equals_loop", identical, kind="equivalence")
-
-
 def test_bench_report_written(tmp_path):
     """Serialize the accumulated report and prove the gate bites."""
     assert "decision.p95_ms" in _REPORT.metrics, "run the whole file in order"
-    assert "frames.batched_gcc_speedup" in _REPORT.metrics, "run the whole file in order"
 
     RESULTS_DIR.mkdir(exist_ok=True)
     current_path = RESULTS_DIR / "BENCH_decision.json"

@@ -2,10 +2,14 @@
 
 :class:`StreamingDecider` is :meth:`HeadTalkPipeline.evaluate` unrolled
 over a live PCM stream.  Audio arrives chunk by chunk; every chunk is
-health-screened, buffered, and folded into the accumulated per-frame
-GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`, over the
-pairs and lag window of the geometry's cached
-:class:`~repro.runtime.plan.ArrayPlan`).
+health-screened and appended to the caller's sample store (the serving
+session's :class:`~repro.serving.ring.RingBuffer`), and the newly
+complete frames of that stored stream are folded into the accumulated
+per-frame GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`,
+over the pairs and lag window of the geometry's cached
+:class:`~repro.runtime.plan.ArrayPlan`).  The store holds the
+utterance's one copy of its samples: the accumulator, the early checks
+and the final decision all read it.
 Once enough frames have arrived, the decider re-runs the real pipeline
 stages on the buffered *prefix* — the same preprocessing, liveness
 model and orientation extractor the batch path uses, just on a shorter
@@ -18,7 +22,9 @@ at most three times the streamed frames and the cost of a streamed
 utterance stays linear in its length.  The accumulator is fed only
 while a check can still fire: after an early verdict, once a channel
 is voted out, or once the stream fails closed, it stops, and the
-decider counts frames from the samples it has seen.  The policy (frame
+decider counts frames from the samples it has seen.  A stream longer
+than the store's capacity keeps only its head, so the stability gate,
+the checks and the decision all judge that same head.  The policy (frame
 geometry, check schedule, margins, hysteresis) is the module constants
 below, one value each.
 
@@ -155,50 +161,6 @@ class StreamingResult:
         return self.early is None or self.early.accepted == self.decision.accepted
 
 
-class _GrowBuffer:
-    """Unbounded in-memory sample store (the default decider buffer).
-
-    The serving layer substitutes its bounded per-session
-    :class:`repro.serving.ring.RingBuffer`, which implements the same
-    ``append`` / ``prefix`` / ``snapshot`` / ``dropped`` surface.
-    """
-
-    def __init__(self, n_mics: int):
-        self.n_mics = int(n_mics)
-        self.dropped = 0
-        self._chunks: list[np.ndarray] = []
-        self._joined: np.ndarray | None = None
-
-    @property
-    def length(self) -> int:
-        """Samples stored so far."""
-        return sum(chunk.shape[1] for chunk in self._chunks)
-
-    def append(self, chunk: np.ndarray) -> int:
-        """Store one chunk; returns samples dropped (always 0 here)."""
-        self._chunks.append(np.asarray(chunk, dtype=float))
-        self._joined = None
-        return 0
-
-    def _join(self) -> np.ndarray:
-        if self._joined is None:
-            if not self._chunks:
-                self._joined = np.zeros((self.n_mics, 0))
-            elif len(self._chunks) == 1:
-                self._joined = self._chunks[0]
-            else:
-                self._joined = np.concatenate(self._chunks, axis=1)
-        return self._joined
-
-    def prefix(self, n_samples: int) -> np.ndarray:
-        """The first ``n_samples`` stored samples (fewer if short)."""
-        return self._join()[:, :n_samples]
-
-    def snapshot(self) -> np.ndarray:
-        """Everything stored, as one contiguous ``(n_mics, n)`` array."""
-        return self._join()
-
-
 class StreamingDecider:
     """One utterance's incremental decision state.
 
@@ -208,12 +170,14 @@ class StreamingDecider:
         The trained gate; its thresholds, extractor and models are the
         single source of truth for both early checks and the final
         decision.
+    buffer:
+        The utterance's sample store, empty at the start: a
+        :class:`~repro.serving.ring.RingBuffer` (``append``, ``prefix``,
+        ``snapshot``, ``dropped``).  Each chunk is appended to it; the
+        accumulator, the early checks and ``finish()`` read it back.
     check_liveness:
         Forwarded to the final ``evaluate`` and mirrored by the early
         checks (liveness strikes are skipped when off).
-    buffer:
-        Optional sample store (see :class:`_GrowBuffer` for the
-        protocol); the serving layer passes its bounded ring.
     call, session_id, utterance_id:
         Audit-record naming: ``call`` labels the evaluate entry point,
         ``session_id`` and ``utterance_id`` ride along in the record's
@@ -227,13 +191,11 @@ class StreamingDecider:
         self,
         pipeline: HeadTalkPipeline,
         *,
+        buffer,
         check_liveness: bool = True,
-        buffer=None,
         call: str = "streaming",
         session_id: str = "",
         utterance_id: str = "",
-        truth: bool | None = None,
-        slices: dict | None = None,
     ):
         self.pipeline = pipeline
         self.plan = plan_for(pipeline.array)
@@ -241,8 +203,6 @@ class StreamingDecider:
         self.call = call
         self.session_id = session_id
         self.utterance_id = utterance_id
-        self.truth = truth
-        self.slices = slices
 
         n_mics = pipeline.array.n_mics
         self.accumulator = GccAccumulator(
@@ -252,7 +212,7 @@ class StreamingDecider:
             FRAME_LENGTH,
             HOP_LENGTH,
         )
-        self.buffer = _GrowBuffer(n_mics) if buffer is None else buffer
+        self.buffer = buffer
         self.early: EarlyVerdict | None = None
         self.checks = 0
         self.samples_seen = 0
@@ -280,8 +240,9 @@ class StreamingDecider:
     def frames_seen(self) -> int:
         """Complete evidence frames streamed so far.
 
-        Counted from the samples, because the accumulator stops once no
-        further early check can fire.
+        Counted from the samples streamed, because the accumulator stops
+        once no further early check can fire and never reads past the
+        store's capacity.
         """
         if self.samples_seen < FRAME_LENGTH:
             return 0
@@ -319,20 +280,22 @@ class StreamingDecider:
             return None
         # The frame GCC feeds only the stability gate of checks still to
         # come; past the returns above none can fire, so it stops there.
-        self.accumulator.push(x)
+        self.accumulator.push(self.buffer.prefix(self.samples_seen))
         n_frames = self.frames_seen
         if n_frames >= self._next_check_frame:
             return self._early_check(n_frames)
         return None
 
-    def finish(self) -> StreamingResult:
+    def finish(self, truth: bool | None = None, slices: dict | None = None) -> StreamingResult:
         """Close the utterance: full-capture decision plus stream stats.
 
         Idempotent; the first call evaluates, later calls return the
         same result.  The full-capture decision is byte-identical to
         ``pipeline.evaluate`` on the reassembled buffer — unless the
         stream failed closed mid-way, in which case the fail-closed
-        rejection takes precedence.
+        rejection takes precedence.  ``truth`` and ``slices`` (known
+        only in simulations and dataset replays) label the decision
+        for the quality monitor, as in ``pipeline.evaluate``.
         """
         if self._result is not None:
             return self._result
@@ -353,7 +316,7 @@ class StreamingDecider:
             extra["session_id"] = self.session_id
         if self.utterance_id:
             extra["utterance_id"] = self.utterance_id
-        if getattr(self.buffer, "dropped", 0):
+        if self.buffer.dropped:
             extra["dropped_samples"] = int(self.buffer.dropped)
         with correlated(self.utterance_id or correlation_id()):
             if self.fail_closed:
@@ -364,16 +327,16 @@ class StreamingDecider:
                         self.call,
                         capture,
                         decision,
-                        truth=self.truth,
-                        slices=self.slices,
+                        truth=truth,
+                        slices=slices,
                         extra=extra,
                     )
             else:
                 decision = self.pipeline.evaluate(
                     capture,
                     self.check_liveness,
-                    truth=self.truth,
-                    slices=self.slices,
+                    truth=truth,
+                    slices=slices,
                     call=self.call,
                     extra=extra,
                 )

@@ -53,7 +53,7 @@ from .stats import (
     top_k_peaks,
 )
 from .stft import log_mel_like_features, mean_power_spectrum, power_spectrogram, stft
-from .streaming import FrameFeed, GccAccumulator
+from .streaming import GccAccumulator
 from .vad import VadResult, detect_activity, short_time_energy
 from .windows import frame_signal, get_window, hamming, hann
 
@@ -62,7 +62,6 @@ __all__ = [
     "DEFAULT_DTYPE",
     "decision_dtype",
     "extract_frames",
-    "FrameFeed",
     "GccAccumulator",
     "pairwise_gcc_frames",
     "pairwise_gcc_framewise",

@@ -25,25 +25,22 @@ hot path.  Granularities, coarse to fine:
 - :func:`pairwise_gcc_frames` / :func:`pairwise_gcc_framewise` — all
   *frames* x pairs of one capture.
 
-The two capture entry points run one kernel (one ``rfft`` per capture,
-then whitening and ``irfft`` one (capture, pair) row at a time), so
-their outputs are byte-identical, whatever the batch around a capture.
-The whitening granularity is what fixes the bits: numpy computes
-``spec_a * np.conj(spec_b)`` with one loop when it can elide the
-``conj`` temporary (rows of >= 256 KiB, i.e. >= 16,384 complex128
+One rule fixes the bits: every multi-pair path, the streaming
+:class:`repro.dsp.streaming.GccAccumulator` included, whitens through
+:func:`_whitened_pairs` — one ``rfft`` per capture or frame, then each
+pair's cross-spectrum as a fresh 1-D product whitened in place.  numpy
+computes ``spec_a * np.conj(spec_b)`` with one loop when it can elide
+the ``conj`` temporary (rows of >= 256 KiB, i.e. >= 16,384 complex128
 bins) and with another, rounding differently, for shorter rows, for
-products over stacked rows and for ``out=`` writes.  A fresh 1-D
-product per row, whitened in place, is the only form that rounds the
-same way for every batch shape.  Frames keep the stacked whitening
-instead (see :func:`_frame_gcc`), except in the streaming accumulator,
-which whitens one frame at a time and inverts the running sum of
-whitened cross-spectra only when it is read (see
-:func:`_frame_cross_spectra`).
+products over stacked rows and for ``out=`` writes; a fresh row per
+pair is the only form that rounds the same way for every batch shape.
+So a capture's windows are the same bytes alone or in a batch, and a
+frame's are the same bytes as :func:`pairwise_gcc` on that frame.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -57,11 +54,11 @@ _PHAT_REGULARIZATION = 1e-12
 def _note_truncation(dropped: int) -> None:
     """Record trailing samples a ``pad=False`` framing silently dropped.
 
-    Streaming callers keep their own carry buffers and never hit this;
-    a batch caller that does is losing real audio from the decision, so
-    it warns once per process (and counts every occurrence in the
-    ``dsp.frames.truncated`` metric, labelled by nothing — the sample
-    count is the increment).
+    The streaming accumulator reads complete frames itself and never
+    hits this; a batch caller that does is losing real audio from the
+    decision, so it warns once per process (and counts every occurrence
+    in the ``dsp.frames.truncated`` metric, labelled by nothing — the
+    sample count is the increment).
     """
     counter_inc("dsp.frames.truncated", dropped)
     warn_once(
@@ -96,7 +93,7 @@ def _lag_window(corr: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def _whiten(spec_a: np.ndarray, spec_b: np.ndarray) -> np.ndarray:
-    """PHAT-whitened cross-power spectrum, over any batch shape."""
+    """PHAT-whitened cross-power spectrum of two spectra."""
     cross = spec_a * np.conj(spec_b)
     cross /= np.abs(cross) + _PHAT_REGULARIZATION
     return cross
@@ -170,28 +167,43 @@ def _validate_pairs(pairs: Sequence[tuple[int, int]], n_mics: int) -> None:
             raise ValueError(f"pair ({i}, {j}) out of range for {n_mics} mics")
 
 
-def _capture_gcc(
-    arrays: list[np.ndarray], pairs: list[tuple[int, int]], max_lag: int, dtype
-) -> np.ndarray:
-    """The capture kernel behind :func:`pairwise_gcc` and :func:`pairwise_gcc_batch`.
+def _whitened_pairs(
+    x: np.ndarray, pairs: Sequence[tuple[int, int]], n_fft: int, dtype
+) -> Iterator[np.ndarray]:
+    """PHAT-whitened cross-spectra of one ``(n_mics, n)`` capture's pairs.
 
-    ``arrays`` are validated ``(n_mics, n_samples_k)`` captures sharing
-    ``n_mics``.  Each capture gets one ``rfft`` over all its channels,
-    reused across its pairs; each (capture, pair) row is whitened as a
-    fresh 1-D product (the form whose rounding does not depend on the
-    batch, see the module docstring) and inverted on its own.  Batching
-    the inverse transforms, per capture or over the whole batch,
-    measured slower on a 2-vCPU Xeon VM with numpy 2.4: 22.8 and
-    24.6 ms against 18.2 ms for one 38,400-sample, 4-mic capture.
+    The one whitening form (see the module docstring): one ``rfft`` of
+    all channels, reused across the pairs, then one fresh
+    ``(n_fft // 2 + 1,)`` row per pair, in ``pairs`` order.  Rows are
+    yielded one at a time, so a caller holds one pair's spectrum at once.
+    """
+    spectra = fft_api(dtype).rfft(x, n_fft, axis=1)
+    for i, j in pairs:
+        yield _whiten(spectra[i], spectra[j])
+
+
+def _cross_to_lags(cross: np.ndarray, n_fft: int, max_lag: int, dtype) -> np.ndarray:
+    """Lag windows ``(..., 2 * max_lag + 1)`` of whitened cross-spectra."""
+    return _lag_window(fft_api(dtype).irfft(cross, n_fft, axis=-1), max_lag)
+
+
+def _capture_gcc(
+    arrays: Sequence[np.ndarray], pairs: list[tuple[int, int]], max_lag: int, dtype
+) -> np.ndarray:
+    """The one GCC-PHAT kernel, behind every ``pairwise_gcc*`` entry point.
+
+    ``arrays`` are validated ``(n_mics, n_samples_k)`` captures (or
+    frames) sharing ``n_mics``.  Each (capture, pair) row is whitened
+    by :func:`_whitened_pairs` and inverted on its own.  Batching the
+    inverse transforms, per capture or over the whole batch, measured
+    slower on a 2-vCPU Xeon VM with numpy 2.4: 22.8 and 24.6 ms against
+    18.2 ms for one 38,400-sample, 4-mic capture.
     """
     out = np.empty((len(arrays), len(pairs), 2 * max_lag + 1), dtype=dtype)
-    fft = fft_api(dtype)
     for k, x in enumerate(arrays):
         n_fft = _fft_length(2 * x.shape[1], max_lag)
-        spectra = fft.rfft(x, n_fft, axis=1)
-        for row, (i, j) in enumerate(pairs):
-            corr = fft.irfft(_whiten(spectra[i], spectra[j]), n_fft)
-            out[k, row] = _lag_window(corr, max_lag)
+        for row, cross in enumerate(_whitened_pairs(x, pairs, n_fft, dtype)):
+            out[k, row] = _cross_to_lags(cross, n_fft, max_lag, dtype)
     return out
 
 
@@ -316,55 +328,6 @@ def extract_frames(
     return np.ascontiguousarray(x[:, idx].transpose(1, 0, 2))
 
 
-def _frame_gcc(
-    frames: np.ndarray, pairs: list[tuple[int, int]], max_lag: int, dtype
-) -> np.ndarray:
-    """The frame kernel behind :func:`pairwise_gcc_frames` and :func:`pairwise_gcc_framewise`."""
-    _validate_pairs(pairs, frames.shape[1])
-    if frames.shape[0] == 0:
-        return np.zeros((0, len(pairs), 2 * max_lag + 1), dtype=dtype)
-    n_fft = _fft_length(2 * frames.shape[2], max_lag)
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
-    spectra = fft_api(dtype).rfft(frames, n_fft, axis=-1)  # (n_frames, n_mics, nf)
-    # Here the frame and capture paths split: frames whiten all
-    # (frame, pair) rows in one stacked product, not row by row as
-    # :func:`_capture_gcc` does.  Frame windows never feed a decision
-    # fingerprint, so they need not round like the capture kernel; and
-    # the stacked product kept more of the batched transform's lead over
-    # a per-frame loop in benchmarks/test_bench_decision.py (median
-    # speedup 1.30 against 1.21 row by row, 4 runs each on a 2-vCPU
-    # Xeon VM).
-    cross = _whiten(spectra[:, i_idx], spectra[:, j_idx])
-    return _cross_to_lags(cross, n_fft, max_lag, dtype)
-
-
-def _frame_cross_spectra(
-    frame: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray, n_fft: int, dtype
-) -> np.ndarray:
-    """PHAT-whitened cross-spectra of one frame, ``(n_pairs, n_fft // 2 + 1)``.
-
-    The per-frame transform behind
-    :class:`repro.dsp.streaming.GccAccumulator`: one ``rfft`` of the
-    ``(n_mics, frame_length)`` frame, then the frame's pair rows
-    whitened together.  ``irfft`` is linear and the lag window a
-    selection, so the lag windows of a sum of these spectra
-    (:func:`_cross_to_lags`) equal the sum of the frames' lag windows up
-    to rounding, while one inverse transform serves any number of
-    frames.  One frame at a time keeps the working set small: the
-    stacked kernel (:func:`_frame_gcc`) cost 0.91-0.96 ms per frame on
-    eight 2,048-sample, 4-mic frames at once against 0.47-0.54 ms on
-    one (6 pairs, 2-vCPU Xeon VM, numpy 2.4).
-    """
-    spectra = fft_api(dtype).rfft(frame, n_fft, axis=-1)
-    return _whiten(spectra[i_idx], spectra[j_idx])
-
-
-def _cross_to_lags(cross: np.ndarray, n_fft: int, max_lag: int, dtype) -> np.ndarray:
-    """Lag windows ``(..., 2 * max_lag + 1)`` of whitened cross-spectra."""
-    return _lag_window(fft_api(dtype).irfft(cross, n_fft, axis=-1), max_lag)
-
-
 def pairwise_gcc_frames(
     channels: np.ndarray,
     pairs: list[tuple[int, int]],
@@ -376,16 +339,10 @@ def pairwise_gcc_frames(
 ) -> np.ndarray:
     """Per-frame GCC-PHAT windows for all microphone pairs of a capture.
 
-    Every frame x channel spectrum is computed in one batched ``rfft``
-    and every frame x pair whitened cross-spectrum inverted in one
-    batched ``irfft``.  Results match calling :func:`pairwise_gcc` on
-    each frame of :func:`extract_frames` separately to within a unit in
-    the last place: the transforms are the same, but the whitening runs
-    over all rows stacked, which numpy may round differently from the
-    capture kernel's row-by-row products (see the module docstring).
-
     Orientation evidence per short frame, instead of one
-    whole-utterance correlation.
+    whole-utterance correlation.  Frame ``t`` of the result is exactly
+    :func:`pairwise_gcc` on frame ``t`` of :func:`extract_frames`: the
+    frames run through the same kernel.
 
     Returns
     -------
@@ -395,7 +352,8 @@ def pairwise_gcc_frames(
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     frames = extract_frames(channels, frame_length, hop_length, pad=pad, dtype=dtype)
-    return _frame_gcc(frames, pairs, max_lag, dtype)
+    _validate_pairs(pairs, frames.shape[1])
+    return _capture_gcc(frames, pairs, max_lag, dtype)
 
 
 def pairwise_gcc_framewise(
@@ -406,10 +364,9 @@ def pairwise_gcc_framewise(
 ) -> np.ndarray:
     """:func:`pairwise_gcc_frames` over already-extracted frames.
 
-    The incremental entry point for callers that slice their own frames
-    (e.g. with :class:`repro.dsp.streaming.FrameFeed`) and want each
-    frame's lag windows.  The streaming accumulator needs only their
-    sum, so it keeps whitened cross-spectra instead and inverts once
+    For callers that slice their own frames and want each frame's lag
+    windows.  The streaming accumulator needs only their sum, so it
+    keeps the sum of whitened cross-spectra instead and inverts once
     per read.
 
     Parameters
@@ -428,4 +385,5 @@ def pairwise_gcc_framewise(
         raise ValueError(f"frames must be (n_frames, n_mics, frame_length), got {x.shape}")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    return _frame_gcc(x, pairs, max_lag, dtype)
+    _validate_pairs(pairs, x.shape[1])
+    return _capture_gcc(x, pairs, max_lag, dtype)

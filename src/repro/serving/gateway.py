@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import time
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class ServingGateway:
         pipeline: HeadTalkPipeline,
         config: ServingConfig | None = None,
         *,
-        clock=None,
+        clock=time.monotonic,
         live_config=None,
     ):
         self.pipeline = pipeline
@@ -157,10 +158,7 @@ class ServingGateway:
             writer.close()
             return
         session_id = f"s{next(self._ids):06d}"
-        if self.clock is None:
-            session = DeviceSession(session_id, self.pipeline, self.config)
-        else:
-            session = DeviceSession(session_id, self.pipeline, self.config, clock=self.clock)
+        session = DeviceSession(session_id, self.pipeline, self.config, clock=self.clock)
         self.sessions[session_id] = session
         gauge_set("serving.active_sessions", len(self.sessions))
         try:

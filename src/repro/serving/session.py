@@ -7,8 +7,9 @@ HEADTALK) made streamable.  The wake/audio/end lifecycle maps onto it:
 - ``begin_wake`` asks the controller whether this wake word must pass
   the HeadTalk gate (``needs_gate``: HEADTALK mode, no open session).
   Gated utterances get a :class:`~repro.core.streaming.StreamingDecider`
-  writing into the session's bounded ring buffer; ungated ones just
-  buffer.
+  writing into the session's bounded ring buffer, the one copy of the
+  utterance its frame evidence, early checks and final decision read;
+  ungated ones just buffer.
 - ``push_audio`` feeds a chunk to the decider and surfaces its early
   verdict, if one fires, as an event the gateway pushes to the client.
 - ``end_wake`` closes the utterance: the decider's audit-grade decision
@@ -142,27 +143,18 @@ class DeviceSession:
         result: StreamingResult | None = None
         with correlated(self.utterance_id):
             if decider is not None:
-                decider.truth = truth
-                decider.slices = slices
-                result = decider.finish()
+                result = decider.finish(truth=truth, slices=slices)
                 event = self.controller.on_wake_decision(result.decision, now)
-            elif self.controller.needs_gate(now):
-                # Gating became necessary while the stream was in flight
-                # (e.g. a voice command entered HeadTalk mode): judge the
-                # buffered capture whole — no early evidence was kept.
+            else:
+                # Ungated at wake.  If gating became necessary while the
+                # stream was in flight (e.g. a voice command entered
+                # HeadTalk mode), the controller judges the buffered
+                # capture whole: no early evidence was kept.
                 capture = Capture(
                     channels=self.ring.snapshot(),
                     sample_rate=self.pipeline.array.sample_rate,
                 )
                 event = self.controller.on_wake_word(capture, now, truth=truth, slices=slices)
-            else:
-                event = self.controller.on_wake_word(
-                    Capture(
-                        channels=self.ring.snapshot(),
-                        sample_rate=self.pipeline.array.sample_rate,
-                    ),
-                    now,
-                )
             self.last_result = result
             wall_ms = (time.perf_counter() - self._wake_started) * 1000.0
             decision = result.decision if result is not None else event.decision

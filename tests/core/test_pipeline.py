@@ -23,6 +23,7 @@ from repro.core.streaming import StreamingDecider
 from repro.dsp import gcc
 from repro.obs import audit_log, clear_spans, observed, span_records
 from repro.runtime import fanout
+from repro.serving import RingBuffer
 
 FS = 48_000
 
@@ -241,7 +242,9 @@ class TestOneGccPerUtterance:
             return audio
 
         _rebind(monkeypatch, original, counted)
-        decider = StreamingDecider(fused)
+        decider = StreamingDecider(
+            fused, buffer=RingBuffer(fused.array.n_mics, forward_capture.n_samples)
+        )
         for start in range(0, forward_capture.n_samples, 2048):
             decider.push(forward_capture.channels[:, start : start + 2048])
         decider.finish()

@@ -13,6 +13,7 @@ from repro.dsp import (
     pairwise_gcc,
     pairwise_gcc_batch,
     pairwise_gcc_frames,
+    pairwise_gcc_framewise,
     precision,
 )
 
@@ -247,11 +248,8 @@ class TestExtractFrames:
 
 class TestPairwiseGccFrames:
     def test_matches_per_frame_pairwise_gcc(self):
-        """Same transforms, re-grouped: each frame's window matches the
-        serial path to within a ulp (numpy's elementwise kernels may
-        round the whitening differently across batch shapes, so exact
-        bit-equality is not guaranteed here — unlike the float64
-        evaluate/evaluate_batch invariant pinned by the runtime suite)."""
+        """Frames run through the capture kernel: each frame's windows are
+        exactly :func:`pairwise_gcc` on that frame."""
         rng = np.random.default_rng(4)
         channels = rng.standard_normal((3, 1500))
         pairs = [(0, 1), (0, 2), (1, 2)]
@@ -260,9 +258,29 @@ class TestPairwiseGccFrames:
         )
         frames = extract_frames(channels, 512, 256)
         assert framed.shape == (frames.shape[0], 3, 19)
-        for t in range(frames.shape[0]):
-            serial = pairwise_gcc(frames[t], pairs, max_lag=9)
-            np.testing.assert_allclose(framed[t], serial, rtol=1e-9, atol=1e-12)
+        looped = np.stack([pairwise_gcc(frame, pairs, max_lag=9) for frame in frames])
+        assert np.array_equal(framed, looped)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decider_shape_equals_per_frame_loop(self, dtype):
+        """The streaming decider's geometry: 4 mics, 6 pairs, 2,048-sample
+        frames, ten of them (stacked whitening used to differ here)."""
+        rng = np.random.default_rng(8)
+        channels = rng.standard_normal((4, 10 * 2048))
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        framed = pairwise_gcc_frames(channels, pairs, 13, 2048, 2048, dtype=dtype)
+        by_frames = pairwise_gcc_framewise(
+            extract_frames(channels, 2048, 2048, dtype=dtype), pairs, 13, dtype=dtype
+        )
+        looped = np.stack(
+            [
+                pairwise_gcc(channels[:, k * 2048 : (k + 1) * 2048], pairs, 13, dtype=dtype)
+                for k in range(10)
+            ]
+        )
+        assert framed.shape == (10, 6, 27)
+        assert np.array_equal(framed, looped)
+        assert np.array_equal(by_frames, looped)
 
     def test_short_capture_single_padded_frame(self):
         rng = np.random.default_rng(5)
@@ -273,9 +291,7 @@ class TestPairwiseGccFrames:
         assert framed.shape == (1, 1, 13)
         padded = np.zeros((2, 256))
         padded[:, :100] = channels
-        np.testing.assert_allclose(
-            framed[0], pairwise_gcc(padded, [(0, 1)], max_lag=6), rtol=1e-9, atol=1e-12
-        )
+        assert np.array_equal(framed[0], pairwise_gcc(padded, [(0, 1)], max_lag=6))
 
     def test_nopad_empty_result(self):
         out = pairwise_gcc_frames(

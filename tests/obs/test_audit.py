@@ -7,6 +7,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import repro
 
 from repro.obs import (
@@ -17,6 +19,20 @@ from repro.obs import (
     set_obs_enabled,
 )
 from repro.obs.audit import AuditLog
+
+
+@pytest.fixture
+def file_log():
+    """Build file-backed ``AuditLog``s that are closed after the test."""
+    logs = []
+
+    def make(path):
+        logs.append(AuditLog(path=path))
+        return logs[-1]
+
+    yield make
+    for log in logs:
+        log.close()
 
 
 class TestRing:
@@ -39,9 +55,9 @@ class TestRing:
             log.log({"event": str(k)})
         assert [r["event"] for r in log.records()] == ["2", "3", "4"]
 
-    def test_clear_leaves_sink_alone(self, tmp_path):
+    def test_clear_leaves_sink_alone(self, tmp_path, file_log):
         path = tmp_path / "audit.jsonl"
-        log = AuditLog(path=path)
+        log = file_log(path)
         log.log({"event": "kept-on-disk"})
         log.clear()
         assert log.records() == []
@@ -49,9 +65,9 @@ class TestRing:
 
 
 class TestJsonlSink:
-    def test_file_round_trip(self, tmp_path):
+    def test_file_round_trip(self, tmp_path, file_log):
         path = tmp_path / "audit.jsonl"
-        log = AuditLog(path=path)
+        log = file_log(path)
         records = [
             {"event": "decision", "accepted": True, "total_ms": 12.5},
             {"event": "decision", "accepted": False, "reason": "non-facing"},
@@ -65,10 +81,10 @@ class TestJsonlSink:
                 assert back[key] == value
             assert "ts" in back
 
-    def test_append_across_instances(self, tmp_path):
+    def test_append_across_instances(self, tmp_path, file_log):
         path = tmp_path / "audit.jsonl"
-        AuditLog(path=path).log({"event": "first"})
-        AuditLog(path=path).log({"event": "second"})
+        file_log(path).log({"event": "first"})
+        file_log(path).log({"event": "second"})
         assert [r["event"] for r in read_jsonl(path)] == ["first", "second"]
 
     def test_read_jsonl_skips_blank_lines(self, tmp_path):
@@ -78,8 +94,8 @@ class TestJsonlSink:
 
 
 class TestPersistentHandle:
-    def test_handle_opened_once_and_reused(self, tmp_path):
-        log = AuditLog(path=tmp_path / "audit.jsonl")
+    def test_handle_opened_once_and_reused(self, tmp_path, file_log):
+        log = file_log(tmp_path / "audit.jsonl")
         assert log._handle is None  # lazy: nothing opened before a write
         log.log({"event": "a"})
         handle = log._handle
@@ -88,8 +104,8 @@ class TestPersistentHandle:
         assert log._handle is handle
         assert len(read_jsonl(log.path)) == 2
 
-    def test_close_then_log_reopens(self, tmp_path):
-        log = AuditLog(path=tmp_path / "audit.jsonl")
+    def test_close_then_log_reopens(self, tmp_path, file_log):
+        log = file_log(tmp_path / "audit.jsonl")
         log.log({"event": "a"})
         log.close()
         assert log._handle is None
@@ -99,10 +115,10 @@ class TestPersistentHandle:
     def test_flush_without_sink_is_noop(self):
         AuditLog().flush()  # memory-only log: must not raise
 
-    def test_configure_closes_old_handle_and_repoints(self, tmp_path):
+    def test_configure_closes_old_handle_and_repoints(self, tmp_path, file_log):
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        log = AuditLog(path=first)
+        log = file_log(first)
         log.log({"event": "a"})
         old_handle = log._handle
         log.configure(path=second)
@@ -120,11 +136,11 @@ class TestPersistentHandle:
         log.log({"event": "b"})  # memory only now
         assert len(read_jsonl(tmp_path / "audit.jsonl")) == 1
 
-    def test_interleaved_writers_never_interleave_lines(self, tmp_path):
+    def test_interleaved_writers_never_interleave_lines(self, tmp_path, file_log):
         """Concurrent writers share one line-buffered handle: every line
         in the sink must parse as exactly one record."""
         path = tmp_path / "audit.jsonl"
-        log = AuditLog(path=path)
+        log = file_log(path)
         n_threads, n_records = 8, 50
         payload = "x" * 500  # long enough that torn writes would show
 

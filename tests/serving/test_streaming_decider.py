@@ -13,9 +13,17 @@ import repro.core.streaming as core_streaming
 import repro.dsp.streaming as dsp_streaming
 from repro.acoustics import Capture
 from repro.core import REJECT_DEGRADED_INPUT, REJECT_MECHANICAL, StreamingDecider
+from repro.core.streaming import FRAME_LENGTH, HOP_LENGTH
+from repro.obs import audit_log, observed
+from repro.serving import DeviceSession, RingBuffer, ServingConfig
 
 FS = 48_000
 CHUNK = 2048
+
+
+def _decider(pipeline):
+    """A decider over a fresh ring of a serving session's default size (12 s)."""
+    return StreamingDecider(pipeline, buffer=RingBuffer(pipeline.array.n_mics, 12 * FS))
 
 
 def _stream(decider, channels, chunk=CHUNK):
@@ -29,15 +37,15 @@ def _stream(decider, channels, chunk=CHUNK):
 
 
 def _count_frame_gcc(monkeypatch):
-    """Rebind the accumulator's per-frame transform to record each call."""
+    """Rebind the accumulator's per-frame whitening to record each call."""
     calls = []
-    real = dsp_streaming._frame_cross_spectra
+    real = dsp_streaming._whitened_pairs
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dsp_streaming, "_frame_cross_spectra", counting)
+    monkeypatch.setattr(dsp_streaming, "_whitened_pairs", counting)
     return calls
 
 
@@ -54,14 +62,14 @@ class TestEquivalence:
     def test_streaming_fingerprint_equals_batch(self, request, pipeline, name):
         capture = request.getfixturevalue(name)
         batch = pipeline.evaluate(capture)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         _, result = _stream(decider, capture.channels)
         assert result.decision.fingerprint() == batch.fingerprint()
 
     @pytest.mark.parametrize("name", CAPTURES)
     def test_early_verdict_never_flips_the_decision(self, request, pipeline, name):
         capture = request.getfixturevalue(name)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         events, result = _stream(decider, capture.channels)
         assert result.consistent
         for event in events:
@@ -71,7 +79,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("chunk", [2048, 1000, 4096, 333])
     def test_chunk_size_never_changes_the_outcome(self, pipeline, backward_capture, chunk):
         reference = pipeline.evaluate(backward_capture)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         events, result = _stream(decider, backward_capture.channels, chunk=chunk)
         assert result.decision.fingerprint() == reference.fingerprint()
         assert result.early_exited
@@ -79,7 +87,7 @@ class TestEquivalence:
 
 class TestEarlyExit:
     def test_forward_accept_never_exits_early(self, pipeline, forward_capture):
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         events, result = _stream(decider, forward_capture.channels)
         assert result.decision.accepted
         assert not result.early_exited
@@ -89,7 +97,7 @@ class TestEarlyExit:
     @pytest.mark.parametrize("name", ["backward_capture", "side_capture"])
     def test_non_facing_rejected_before_end_of_utterance(self, request, pipeline, name):
         capture = request.getfixturevalue(name)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         events, result = _stream(decider, capture.channels)
         assert not result.decision.accepted
         assert result.early_exited
@@ -98,7 +106,7 @@ class TestEarlyExit:
         assert result.frames_to_decision == events[0].frame
 
     def test_replay_rejected_early_as_mechanical(self, pipeline, replay_capture):
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         events, result = _stream(decider, replay_capture.channels)
         assert result.early_exited
         assert events[0].reason == REJECT_MECHANICAL
@@ -109,7 +117,7 @@ class TestEarlyExit:
             capture = request.getfixturevalue(name)
             frames = set()
             for chunk in (2048, 1000, 4096, 333):
-                decider = StreamingDecider(pipeline)
+                decider = _decider(pipeline)
                 _, result = _stream(decider, capture.channels, chunk=chunk)
                 assert result.early_exited, name
                 frames.add(result.frames_to_decision)
@@ -120,7 +128,7 @@ class TestEarlyExit:
     ):
         to_decision, seen = [], []
         for capture in (backward_capture, replay_capture, side_capture):
-            decider = StreamingDecider(pipeline)
+            decider = _decider(pipeline)
             _, result = _stream(decider, capture.channels)
             to_decision.append(result.frames_to_decision)
             seen.append(result.frames_seen)
@@ -140,7 +148,7 @@ class TestStreamingCost:
             return real(capture, *args, **kwargs)
 
         monkeypatch.setattr(core_streaming, "preprocess", recording)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         _, result = _stream(decider, channels)
         assert result.frames_seen == 74
         assert sum(prefixes) <= 3 * result.samples_seen
@@ -152,7 +160,7 @@ class TestStreamingCost:
         self, pipeline, backward_capture, monkeypatch
     ):
         calls = _count_frame_gcc(monkeypatch)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         channels = backward_capture.channels
         calls_at_verdict = None
         for start in range(0, channels.shape[1], CHUNK):
@@ -169,32 +177,65 @@ class TestStreamingCost:
 
 class TestLifecycle:
     def test_finish_is_idempotent(self, pipeline, forward_capture):
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         _stream(decider, forward_capture.channels)
         assert decider.finish() is decider.finish()
 
     def test_push_after_finish_raises(self, pipeline, forward_capture):
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         _, _ = _stream(decider, forward_capture.channels)
         with pytest.raises(RuntimeError):
             decider.push(forward_capture.channels[:, :CHUNK])
 
     def test_wrong_shape_rejected(self, pipeline):
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         with pytest.raises(ValueError):
             decider.push(np.zeros((2, CHUNK)))
 
     def test_empty_stream_still_decides(self, pipeline):
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         result = decider.finish()
         assert not result.decision.accepted
         assert result.frames_seen == 0
 
 
+class TestLabels:
+    def test_finish_labels_the_decision_record(self, pipeline, forward_capture):
+        decider = _decider(pipeline)
+        channels = forward_capture.channels
+        with observed(True):
+            for start in range(0, channels.shape[1], CHUNK):
+                decider.push(channels[:, start : start + CHUNK])
+            result = decider.finish(truth=True, slices={"source": "live-facing"})
+            record = [r for r in audit_log().records() if r.get("event") == "decision"][-1]
+        assert record["call"] == "streaming"
+        assert record["truth"] is True
+        assert record["slices"] == {"source": "live-facing"}
+        assert record["accepted"] == result.decision.accepted
+
+
+class TestOverflow:
+    def test_gate_reads_the_stored_head_past_capacity(self, pipeline, forward_capture):
+        """A stream past the ring's capacity keeps its head, and the
+        stability gate folds in frames of that head only, like the
+        checks and the final decision."""
+        session = DeviceSession("s-overflow", pipeline, ServingConfig(ring_seconds=0.2))
+        session.begin_wake()
+        channels = forward_capture.channels
+        for start in range(0, channels.shape[1], CHUNK):
+            session.push_audio(channels[:, start : start + CHUNK])
+        decider, stored = session.decider, session.ring.length
+        assert stored == session.ring.capacity < channels.shape[1]
+        assert decider.accumulator.n_frames == 1 + (stored - FRAME_LENGTH) // HOP_LENGTH
+        assert decider.accumulator.n_frames < decider.frames_seen
+        reply = session.end_wake()
+        assert reply["dropped_samples"] == channels.shape[1] - stored
+
+
 class TestMidStreamChannelDeath:
     def test_majority_channel_death_fails_closed(self, pipeline, forward_capture):
         channels = forward_capture.channels
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         half = channels.shape[1] // 2
         events = []
         for start in range(0, half, CHUNK):
@@ -221,7 +262,7 @@ class TestMidStreamChannelDeath:
         channels = forward_capture.channels.copy()
         channels[2, :] = 0.0
         calls = _count_frame_gcc(monkeypatch)
-        decider = StreamingDecider(pipeline)
+        decider = _decider(pipeline)
         events, calls_at_vote = [], None
         for start in range(0, channels.shape[1], CHUNK):
             event = decider.push(channels[:, start : start + CHUNK])
