@@ -44,8 +44,8 @@ def test_bench_decision_throughput(benchmark, record_result):
     pipeline, captures = build_pipeline(0), build_captures(1)
 
     def measure():
-        # Warmup: scipy FFT-plan/filter caches, BLAS spin-up, and the
-        # per-geometry ArrayPlan — one-time costs, not decision latency.
+        # Warmup: scipy FFT-plan/filter caches and BLAS spin-up —
+        # one-time costs, not decision latency.
         for capture in captures:
             pipeline.evaluate(capture, check_liveness=False)
         with precision("float32"):

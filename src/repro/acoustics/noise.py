@@ -145,8 +145,3 @@ def household_noise(n_samples: int, sample_rate: int, rng: np.random.Generator) 
     # Slow amplitude wander (compressor cycling, cars passing).
     wander = 1.0 + 0.3 * np.sin(2 * np.pi * 0.2 * t + rng.uniform(0, 2 * np.pi))
     return (hum + broadband) * wander
-
-
-def room_ambient(room_noise_db_spl: float, kind: str = "household") -> NoiseSource:
-    """Ambient noise source at a room's default level."""
-    return NoiseSource(kind=kind, level_db_spl=room_noise_db_spl)

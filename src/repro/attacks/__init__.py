@@ -9,20 +9,16 @@ wrapped in seeded, sophistication-scaled scenarios
 (:mod:`repro.attacks.scenario`) and rendered deterministically
 (:mod:`repro.attacks.corpus`).  An attack capture exists only where a
 caller renders one (E30, or city traffic with a positive
-``attack_mix``); ordinary renders never change.
-:mod:`repro.attacks.control` holds the process flag that tells the
-decision monitor attack-labelled traffic is intentional.
+``attack_mix``); ordinary renders never change.  The layer holds no
+process state.
 """
 
-from .control import attacks_enabled, set_attacks_enabled
 from .corpus import ATTACK_LOCATIONS, attack_render_tasks, render_attack_captures
 from .models import (
     DirectionalHornReplay,
     EqCompensatedReplay,
     MultiSpeakerTdoaAttack,
     SpeakeARChannel,
-    attack_rng,
-    attack_stream_key,
     coordinated_mix,
     eq_compensate,
     horn_directivity,
@@ -48,15 +44,11 @@ __all__ = [
     "SOPHISTICATION_TIERS",
     "SpeakeARChannel",
     "attack_render_tasks",
-    "attack_rng",
-    "attack_stream_key",
-    "attacks_enabled",
     "coordinated_mix",
     "eq_compensate",
     "horn_directivity",
     "preset_attack",
     "render_attack_captures",
     "rig_directivity",
-    "set_attacks_enabled",
     "speakear_capture",
 ]

@@ -26,16 +26,17 @@ anywhere a :class:`~repro.acoustics.sources.LoudspeakerSource` is:
   utterance through their characteristic band-limit and noise floor,
   and the attacker replays that degraded recording.
 
-Determinism contract (mirrors :mod:`repro.faults.scenario`): the random
-stream that colors each attack render is derived from the attack seed,
-the attack name **and a blake2b digest of the recorded waveform**, so
-an attack render is a pure function of ``(seed, config, content)`` —
-byte-identical serially, on any render thread, in any order.
+Determinism contract (shared with :mod:`repro.faults.scenario`): the
+random stream that colors each attack render is
+:func:`~repro.faults.scenario.keyed_rng` of the attack seed, the attack
+name **and the** :func:`~repro.faults.scenario.content_key` **of the
+recorded waveform**, so an attack render is a pure function of
+``(seed, config, content)`` — byte-identical serially, on any render
+thread, in any order.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,43 +56,19 @@ from ..acoustics.sources import (
     rolloff_gain,
 )
 from ..acoustics.speech import synthesize_wake_word
+from ..faults.scenario import content_key, keyed_rng
 
 __all__ = [
     "DirectionalHornReplay",
     "EqCompensatedReplay",
     "MultiSpeakerTdoaAttack",
     "SpeakeARChannel",
-    "attack_rng",
-    "attack_stream_key",
     "coordinated_mix",
     "eq_compensate",
     "horn_directivity",
     "rig_directivity",
     "speakear_capture",
 ]
-
-
-def attack_stream_key(waveform: np.ndarray, sample_rate: int) -> str:
-    """Content digest anchoring an attack render's random stream.
-
-    The analogue of :func:`repro.faults.scenario.capture_fault_key` for
-    emissions: same recording, same stream — whatever process renders
-    it.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.ascontiguousarray(np.asarray(waveform, dtype=float)).tobytes())
-    digest.update(str(np.asarray(waveform).shape).encode())
-    digest.update(str(sample_rate).encode())
-    return digest.hexdigest()
-
-
-def attack_rng(seed: int, name: str, key: str) -> np.random.Generator:
-    """Generator derived from the attack seed, attack name and a content key."""
-    material = hashlib.blake2b(digest_size=8)
-    material.update(str(seed).encode())
-    material.update(name.encode())
-    material.update(key.encode())
-    return np.random.default_rng(int.from_bytes(material.digest(), "little"))
 
 
 def _clamped_sophistication(value: float) -> float:
@@ -228,7 +205,37 @@ def rig_directivity(sophistication: float) -> DirectivityModel:
 
 
 @dataclass(frozen=True)
-class EqCompensatedReplay:
+class _AttackSource:
+    """What the four attacker families share.
+
+    The fields: the victim ``voice`` whose wake word the attacker
+    recorded, the replay loudspeaker ``model``, the ``sophistication``
+    tier (checked on construction) and the ``seed``.  Each family adds
+    its own ``name``, which keys its random stream alongside the seed.
+    """
+
+    voice: HumanSpeaker
+    model: LoudspeakerModel = SONY_SRS_X5
+    sophistication: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _clamped_sophistication(self.sophistication)
+
+    def _record(
+        self, wake_word: str, sample_rate: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.random.Generator]:
+        """The attacker's recording of the wake word, and its channel stream.
+
+        The stream is keyed by the recording's content, not drawn from
+        ``rng``, so it is the same whatever thread renders it.
+        """
+        recorded = synthesize_wake_word(wake_word, self.voice.profile, sample_rate, rng)
+        return recorded, keyed_rng(self.seed, self.name, content_key(recorded, sample_rate))
+
+
+@dataclass(frozen=True)
+class EqCompensatedReplay(_AttackSource):
     """Replay with the loudspeaker's roll-off EQ'd back out.
 
     Sophistication buys headroom: each tier adds ~6 dB to the available
@@ -239,14 +246,7 @@ class EqCompensatedReplay:
     hardened detector keys on.
     """
 
-    voice: HumanSpeaker
-    model: LoudspeakerModel = SONY_SRS_X5
-    sophistication: float = 1.0
-    seed: int = 0
     name: str = "attack-eq"
-
-    def __post_init__(self) -> None:
-        _clamped_sophistication(self.sophistication)
 
     @property
     def max_boost_db(self) -> float:
@@ -257,10 +257,7 @@ class EqCompensatedReplay:
         self, wake_word: str, sample_rate: int, rng: np.random.Generator
     ) -> SourceRendering:
         """Replay one EQ-compensated recording of the wake word."""
-        recorded = synthesize_wake_word(wake_word, self.voice.profile, sample_rate, rng)
-        channel_rng = attack_rng(
-            self.seed, self.name, attack_stream_key(recorded, sample_rate)
-        )
+        recorded, channel_rng = self._record(wake_word, sample_rate, rng)
         boosted = eq_compensate(recorded, sample_rate, self.model, self.max_boost_db)
         s = self.sophistication
         rig = replace(
@@ -279,7 +276,7 @@ class EqCompensatedReplay:
 
 
 @dataclass(frozen=True)
-class DirectionalHornReplay:
+class DirectionalHornReplay(_AttackSource):
     """Replay through a horn shaped toward human-head lobes.
 
     Targets the *orientation* gate: the directivity features see lobes
@@ -288,23 +285,13 @@ class DirectionalHornReplay:
     spectral cues still apply.
     """
 
-    voice: HumanSpeaker
-    model: LoudspeakerModel = SONY_SRS_X5
-    sophistication: float = 1.0
-    seed: int = 0
     name: str = "attack-horn"
-
-    def __post_init__(self) -> None:
-        _clamped_sophistication(self.sophistication)
 
     def emit(
         self, wake_word: str, sample_rate: int, rng: np.random.Generator
     ) -> SourceRendering:
         """Replay one recording through the horn."""
-        recorded = synthesize_wake_word(wake_word, self.voice.profile, sample_rate, rng)
-        channel_rng = attack_rng(
-            self.seed, self.name, attack_stream_key(recorded, sample_rate)
-        )
+        recorded, channel_rng = self._record(wake_word, sample_rate, rng)
         waveform = replay_channel(recorded, sample_rate, self.model, channel_rng)
         return SourceRendering(
             waveform=waveform,
@@ -316,7 +303,7 @@ class DirectionalHornReplay:
 
 
 @dataclass(frozen=True)
-class MultiSpeakerTdoaAttack:
+class MultiSpeakerTdoaAttack(_AttackSource):
     """Coordinated multi-cabinet playback steering a facing-like TDoA.
 
     ``n_speakers`` cabinets (2 at tier 1, up to 4 at tier 3) play the
@@ -327,14 +314,7 @@ class MultiSpeakerTdoaAttack:
     breaks their cycle consistency — the TDoA-coherence cue.
     """
 
-    voice: HumanSpeaker
-    model: LoudspeakerModel = SONY_SRS_X5
-    sophistication: float = 1.0
-    seed: int = 0
     name: str = "attack-tdoa"
-
-    def __post_init__(self) -> None:
-        _clamped_sophistication(self.sophistication)
 
     @property
     def n_speakers(self) -> int:
@@ -350,10 +330,7 @@ class MultiSpeakerTdoaAttack:
         self, wake_word: str, sample_rate: int, rng: np.random.Generator
     ) -> SourceRendering:
         """One coordinated playback of the recorded wake word."""
-        recorded = synthesize_wake_word(wake_word, self.voice.profile, sample_rate, rng)
-        channel_rng = attack_rng(
-            self.seed, self.name, attack_stream_key(recorded, sample_rate)
-        )
+        recorded, channel_rng = self._record(wake_word, sample_rate, rng)
         replayed = replay_channel(recorded, sample_rate, self.model, channel_rng)
         n = self.n_speakers
         offsets = self.jitter_s * channel_rng.standard_normal(n)
@@ -370,7 +347,7 @@ class MultiSpeakerTdoaAttack:
 
 
 @dataclass(frozen=True)
-class SpeakeARChannel:
+class SpeakeARChannel(_AttackSource):
     """Capture through retasked speakers, then replay (SPEAKE(a)R).
 
     The attacker never had a microphone: the victim's utterance was
@@ -380,14 +357,7 @@ class SpeakeARChannel:
     (better jack retasking) and lowers its noise floor.
     """
 
-    voice: HumanSpeaker
-    model: LoudspeakerModel = SONY_SRS_X5
-    sophistication: float = 1.0
-    seed: int = 0
     name: str = "attack-speakear"
-
-    def __post_init__(self) -> None:
-        _clamped_sophistication(self.sophistication)
 
     @property
     def capture_cutoff_hz(self) -> float:
@@ -403,10 +373,7 @@ class SpeakeARChannel:
         self, wake_word: str, sample_rate: int, rng: np.random.Generator
     ) -> SourceRendering:
         """Replay one speakers-as-mic capture of the wake word."""
-        recorded = synthesize_wake_word(wake_word, self.voice.profile, sample_rate, rng)
-        channel_rng = attack_rng(
-            self.seed, self.name, attack_stream_key(recorded, sample_rate)
-        )
+        recorded, channel_rng = self._record(wake_word, sample_rate, rng)
         captured = speakear_capture(
             recorded,
             sample_rate,

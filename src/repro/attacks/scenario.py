@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..acoustics.sources import SONY_SRS_X5, HumanSpeaker, LoudspeakerModel
 from .models import (
     DirectionalHornReplay,
     EqCompensatedReplay,
     MultiSpeakerTdoaAttack,
     SpeakeARChannel,
+    _clamped_sophistication,
 )
 
 __all__ = [
@@ -49,14 +48,6 @@ SOPHISTICATION_TIERS = (1.0, 2.0, 3.0)
 """The tiers E30 and the attacks benchmark sweep."""
 
 
-def _clamped(sophistication: float) -> float:
-    if not np.isfinite(sophistication) or sophistication < 0.0:
-        raise ValueError(
-            f"sophistication must be a finite value >= 0, got {sophistication}"
-        )
-    return float(sophistication)
-
-
 @dataclass(frozen=True)
 class AttackScenario:
     """A named, seeded attacker at one sophistication tier."""
@@ -71,7 +62,7 @@ class AttackScenario:
             raise ValueError(
                 f"unknown attack kind {self.kind!r}; expected one of {sorted(PRESET_NAMES)}"
             )
-        _clamped(self.sophistication)
+        _clamped_sophistication(self.sophistication)
 
     def source_for(
         self, voice: HumanSpeaker, model: LoudspeakerModel = SONY_SRS_X5
@@ -102,7 +93,7 @@ def preset_attack(
     - ``speakear`` — speakers-as-mic capture then replay; sophistication
       widens the capture band and lowers its noise floor.
     """
-    s = _clamped(sophistication)
+    s = _clamped_sophistication(sophistication)
     key = name.strip().lower()
     if key not in ATTACK_SOURCE_CLASSES:
         raise ValueError(

@@ -165,31 +165,21 @@ class VoiceAssistantController:
     ) -> AuditEvent:
         """Handle a detected wake-word capture according to the mode.
 
-        ``truth`` / ``slices`` (known only in simulations and dataset
-        replays) are forwarded to the pipeline so gate decisions made on
-        the controller's behalf feed the decision-quality monitor with
+        The pipeline runs only when :meth:`needs_gate` says so; the
+        result then goes through :meth:`on_wake_decision`, whose guard
+        routes MUTE, NORMAL and in-session wake words.  ``truth`` /
+        ``slices`` (known only in simulations and dataset replays) are
+        forwarded to the pipeline so gate decisions made on the
+        controller's behalf feed the decision-quality monitor with
         labels; both default to ``None`` and change nothing otherwise.
         """
         with self._lock:
-            if self.mode is Mode.MUTE:
-                return self._log(now, EventKind.HARD_MUTED, "microphones disabled")
-            if self.mode is Mode.NORMAL:
-                return self._log(
-                    now, EventKind.UPLOADED, "normal mode: wake word uploaded"
-                )
-
-            # HEADTALK mode.
-            if self.session_open_at(now):
-                return self._log(
-                    now, EventKind.SESSION_COMMAND, "within facing-verified session"
-                )
-            if truth is not None or slices is not None:
+            decision = None
+            if self.needs_gate(now):
                 decision = self.pipeline.evaluate(capture, truth=truth, slices=slices)
-            else:
-                decision = self.pipeline.evaluate(capture)
             return self.on_wake_decision(decision, now)
 
-    def on_wake_decision(self, decision: Decision, now: float = 0.0) -> AuditEvent:
+    def on_wake_decision(self, decision: Decision | None, now: float = 0.0) -> AuditEvent:
         """Apply an already-made gate decision to the state machine.
 
         The streaming path computes its decision incrementally
@@ -199,6 +189,8 @@ class VoiceAssistantController:
         The mode/session guards re-run at apply time: if the device was
         muted or a session opened while the stream was in flight, the
         decision is routed accordingly instead of trusted blindly.
+        ``decision`` may be ``None`` only for a wake word the guard
+        routes, one that :meth:`needs_gate` does not send to the gate.
         """
         with self._lock:
             if self.mode is Mode.MUTE:

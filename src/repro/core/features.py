@@ -19,7 +19,8 @@ From the denoised multi-channel audio, extract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from ..arrays.geometry import MicArray
 from ..dsp.gcc import pairwise_gcc, pairwise_gcc_batch
 from ..dsp.precision import resolve_dtype
 from ..dsp.spectral import high_low_band_ratio, low_band_chunk_stats
+from ..dsp.srp import srp_max_lag_for
 from ..dsp.stats import summary_vector, top_k_peaks, window_score
 from ..obs.spans import span
 from ..runtime.fanout import fan_out
-from ..runtime.plan import plan_for
 from .preprocessing import DenoisedAudio
 
 N_SRP_PEAKS = 3
@@ -70,7 +71,7 @@ over 100-400 Hz balance even when the >4 kHz decay is EQ-restored."""
 
 
 def tdoa_coherence(
-    gcc: np.ndarray, pairs: list[tuple[int, int]], max_lag: int
+    gcc: np.ndarray, pairs: Sequence[tuple[int, int]], max_lag: int
 ) -> float:
     """How consistent per-pair correlation evidence is with one *live* talker.
 
@@ -150,27 +151,51 @@ def directivity_consistency(audio: DenoisedAudio) -> float:
     return float(np.clip(mean_score * (0.5 + 0.5 * spread_score), 0.0, 1.0))
 
 
-def _validated_channels(audio: DenoisedAudio, array: MicArray, max_lag: int) -> np.ndarray:
-    """Validate a denoised capture against one array geometry.
+@dataclass(frozen=True)
+class _ArrayExtractor:
+    """An extractor bound to one array geometry.
 
-    Shared by both extractors (the GCC-only baseline historically
-    skipped it and silently produced misshapen vectors from bad
-    captures): the channel matrix must be 2-D with the array's mic
-    count, and long enough for correlation analysis.  Returns the
-    channels cast to the resolved decision dtype.
+    The pair list and the aperture-sized lag half-window are pure
+    functions of the geometry, so each extractor derives them once, at
+    construction, and every call reads them back.
     """
-    channels = np.asarray(audio.channels, dtype=resolve_dtype(None))
-    if channels.ndim != 2 or channels.shape[0] != array.n_mics:
-        raise ValueError(
-            f"expected {array.n_mics} channels, got shape {channels.shape}"
-        )
-    if channels.shape[1] < 4 * (max_lag + 1):
-        raise ValueError("utterance too short for correlation analysis")
-    return channels
+
+    array: MicArray
+    pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    """Microphone pairs used for cross-correlation (``array.pairs()``)."""
+    max_lag: int = field(init=False, repr=False, compare=False)
+    """Half-window of correlation lags (12/13/10 for D1/D2/D3)."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(self.array.pairs()))
+        object.__setattr__(self, "max_lag", srp_max_lag_for(self.array))
+
+    @property
+    def min_samples(self) -> int:
+        """Shortest utterance admissible for correlation analysis."""
+        return 4 * (self.max_lag + 1)
+
+    def _validated_channels(self, audio: DenoisedAudio) -> np.ndarray:
+        """Validate a denoised capture against the geometry.
+
+        Shared by both extractors (the GCC-only baseline historically
+        skipped it and silently produced misshapen vectors from bad
+        captures): the channel matrix must be 2-D with the array's mic
+        count, and long enough for correlation analysis.  Returns the
+        channels cast to the resolved decision dtype.
+        """
+        channels = np.asarray(audio.channels, dtype=resolve_dtype(None))
+        if channels.ndim != 2 or channels.shape[0] != self.array.n_mics:
+            raise ValueError(
+                f"expected {self.array.n_mics} channels, got shape {channels.shape}"
+            )
+        if channels.shape[1] < self.min_samples:
+            raise ValueError("utterance too short for correlation analysis")
+        return channels
 
 
 @dataclass(frozen=True)
-class OrientationFeatureExtractor:
+class OrientationFeatureExtractor(_ArrayExtractor):
     """Feature extractor bound to one array geometry.
 
     Parameters
@@ -179,18 +204,6 @@ class OrientationFeatureExtractor:
         The (possibly channel-subset) microphone array whose geometry
         sizes the GCC/SRP lag windows.
     """
-
-    array: MicArray
-
-    @property
-    def max_lag(self) -> int:
-        """Half-window of correlation lags (12/13/10 for D1/D2/D3)."""
-        return plan_for(self.array).max_lag
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        """Microphone pairs used for cross-correlation."""
-        return plan_for(self.array).pair_list
 
     @property
     def n_features(self) -> int:
@@ -229,10 +242,9 @@ class OrientationFeatureExtractor:
         and hands the matrix to both :meth:`array_cues` and the
         orientation features.
         """
-        plan = plan_for(self.array)
-        channels = _validated_channels(audio, self.array, plan.max_lag)
+        channels = self._validated_channels(audio)
         with span("features.gcc"):
-            return pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+            return pairwise_gcc(channels, self.pairs, self.max_lag)
 
     def extract(self, audio: DenoisedAudio, gcc: np.ndarray | None = None) -> np.ndarray:
         """Feature vector for one denoised utterance.
@@ -255,11 +267,10 @@ class OrientationFeatureExtractor:
         the one the orientation features then reuse, and it is computed
         here when omitted.
         """
-        plan = plan_for(self.array)
         if gcc is None:
             gcc = self.correlate(audio)
         return {
-            "tdoa_coherence": tdoa_coherence(gcc, plan.pair_list, plan.max_lag),
+            "tdoa_coherence": tdoa_coherence(gcc, self.pairs, self.max_lag),
             "directivity_consistency": directivity_consistency(audio),
         }
 
@@ -354,7 +365,7 @@ class OrientationFeatureExtractor:
 
 
 @dataclass(frozen=True)
-class GccOnlyFeatureExtractor:
+class GccOnlyFeatureExtractor(_ArrayExtractor):
     """Baseline extractor: GCC-PHAT features only (Ahuja et al. style).
 
     Used by the DoV comparison experiment (E19): the paper attributes its
@@ -362,24 +373,15 @@ class GccOnlyFeatureExtractor:
     them, keeping only the per-pair GCC windows and TDoAs.
     """
 
-    array: MicArray
-
-    @property
-    def max_lag(self) -> int:
-        """Half-window of correlation lags."""
-        return plan_for(self.array).max_lag
-
     @property
     def n_features(self) -> int:
         """Dimensionality of the baseline feature vector."""
-        plan = plan_for(self.array)
-        return len(plan.pairs) * plan.window + len(plan.pairs)
+        n_pairs = len(self.pairs)
+        return n_pairs * (2 * self.max_lag + 1) + n_pairs  # windows + TDoAs
 
     def extract(self, audio: DenoisedAudio) -> np.ndarray:
         """GCC windows + TDoAs for one utterance."""
-        plan = plan_for(self.array)
-        channels = _validated_channels(audio, self.array, plan.max_lag)
-        gcc = pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+        gcc = pairwise_gcc(self._validated_channels(audio), self.pairs, self.max_lag)
         return self._finalize(gcc)
 
     def _finalize(self, gcc: np.ndarray) -> np.ndarray:
@@ -391,7 +393,6 @@ class GccOnlyFeatureExtractor:
         """Feature matrix ``(n_utterances, n_features)`` via one batched GCC call."""
         if not audios:
             raise ValueError("no utterances given")
-        plan = plan_for(self.array)
-        batch = [_validated_channels(a, self.array, plan.max_lag) for a in audios]
-        gccs = pairwise_gcc_batch(batch, plan.pair_list, plan.max_lag)
+        batch = [self._validated_channels(a) for a in audios]
+        gccs = pairwise_gcc_batch(batch, self.pairs, self.max_lag)
         return np.stack([self._finalize(gcc) for gcc in gccs])

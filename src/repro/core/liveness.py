@@ -28,8 +28,27 @@ MECHANICAL = 0
 LIVENESS_SAMPLE_RATE = 16_000
 
 
+class _ScoreVerdicts:
+    """Verdicts over a detector's ``scores``: P(live human) per utterance."""
+
+    def is_live(self, audio: np.ndarray, sample_rate: int, threshold: float = 0.5) -> bool:
+        """Decision for one utterance."""
+        return bool(self.scores([np.asarray(audio, dtype=float)], sample_rate)[0] >= threshold)
+
+    def evaluate_eer(
+        self, waveforms: list[np.ndarray], labels: np.ndarray, sample_rate: int
+    ) -> tuple[float, float]:
+        """(accuracy, EER) of the scores on a labelled evaluation set."""
+        labels = np.asarray(labels)
+        scores = self.scores(waveforms, sample_rate)
+        predictions = (scores >= 0.5).astype(int)
+        acc = float(np.mean(predictions == labels))
+        eer = equal_error_rate(labels, scores, positive_label=LIVE_HUMAN)
+        return acc, eer
+
+
 @dataclass
-class LivenessDetector:
+class LivenessDetector(_ScoreVerdicts):
     """Human-vs-replay classifier over single-channel audio.
 
     Parameters
@@ -104,21 +123,6 @@ class LivenessDetector:
         """Hard labels (1=live human, 0=mechanical)."""
         features = self.featurize_batch(waveforms, sample_rate)
         return self.network.predict(features)
-
-    def is_live(self, audio: np.ndarray, sample_rate: int, threshold: float = 0.5) -> bool:
-        """Decision for one utterance."""
-        return bool(self.scores([np.asarray(audio, dtype=float)], sample_rate)[0] >= threshold)
-
-    def evaluate_eer(
-        self, waveforms: list[np.ndarray], labels: np.ndarray, sample_rate: int
-    ) -> tuple[float, float]:
-        """(accuracy, EER) on a labelled evaluation set."""
-        labels = np.asarray(labels)
-        scores = self.scores(waveforms, sample_rate)
-        predictions = (scores >= 0.5).astype(int)
-        acc = float(np.mean(predictions == labels))
-        eer = equal_error_rate(labels, scores, positive_label=LIVE_HUMAN)
-        return acc, eer
 
 
 # --- Per-band confidence + fusion (adversarial hardening, ROADMAP item 4) ---
@@ -298,13 +302,8 @@ def liveness_cues(
     )
 
 
-def cue_score(audio: np.ndarray, sample_rate: int) -> float:
-    """The combined single-channel cue score (see :func:`liveness_cues`)."""
-    return liveness_cues(audio, sample_rate).score
-
-
 @dataclass
-class FusedLivenessDetector:
+class FusedLivenessDetector(_ScoreVerdicts):
     """Feature-fusion liveness: network score blended with physics cues.
 
     Drop-in for :class:`LivenessDetector` wherever scores are consumed
@@ -416,18 +415,3 @@ class FusedLivenessDetector:
     def predict(self, waveforms: list[np.ndarray], sample_rate: int) -> np.ndarray:
         """Hard labels from the fused scores."""
         return (self.scores(waveforms, sample_rate) >= 0.5).astype(int)
-
-    def is_live(self, audio: np.ndarray, sample_rate: int, threshold: float = 0.5) -> bool:
-        """Fused decision for one utterance."""
-        return bool(self.scores([np.asarray(audio, dtype=float)], sample_rate)[0] >= threshold)
-
-    def evaluate_eer(
-        self, waveforms: list[np.ndarray], labels: np.ndarray, sample_rate: int
-    ) -> tuple[float, float]:
-        """(accuracy, EER) of the fused scores on a labelled set."""
-        labels = np.asarray(labels)
-        scores = self.scores(waveforms, sample_rate)
-        predictions = (scores >= 0.5).astype(int)
-        acc = float(np.mean(predictions == labels))
-        eer = equal_error_rate(labels, scores, positive_label=LIVE_HUMAN)
-        return acc, eer

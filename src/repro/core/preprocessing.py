@@ -74,6 +74,19 @@ class ChannelHealth:
         """Whether any channel failed screening."""
         return bool(self.unhealthy)
 
+    @property
+    def reference_channel(self) -> int:
+        """Index of the channel used for single-channel analyses.
+
+        The first channel normally; the first *healthy* channel when
+        screening flagged channel 0 (a dead reference mic must not
+        silence the VAD or the liveness detector).
+        """
+        healthy = self.healthy
+        if healthy and 0 not in healthy:
+            return healthy[0]
+        return 0
+
     def to_dict(self) -> dict:
         """JSON-serializable form for audit records."""
         return {
@@ -155,14 +168,10 @@ class DenoisedAudio:
     def reference_channel(self) -> int:
         """Index of the channel used for single-channel analyses.
 
-        The first channel normally; the first *healthy* channel when
-        screening flagged channel 0 (a dead reference mic must not
-        silence the VAD or the liveness detector).
+        The screening report's :attr:`ChannelHealth.reference_channel`;
+        channel 0 for audio that was never screened.
         """
-        if self.health is not None and self.health.healthy:
-            if 0 not in self.health.healthy:
-                return self.health.healthy[0]
-        return 0
+        return 0 if self.health is None else self.health.reference_channel
 
     @property
     def reference(self) -> np.ndarray:
@@ -215,12 +224,9 @@ def preprocess(capture: Capture, normalize: bool = True) -> DenoisedAudio:
     with span("preprocess.bandpass"):
         bandpass = headtalk_bandpass(capture.sample_rate)
         filtered = bandpass.apply(channels)
-    reference_channel = 0
-    if health.healthy and 0 not in health.healthy:
-        reference_channel = health.healthy[0]
     with span("preprocess.vad"):
         activity = detect_activity(
-            filtered[reference_channel], capture.sample_rate, VAD_THRESHOLD
+            filtered[health.reference_channel], capture.sample_rate, VAD_THRESHOLD
         )
     had_speech = activity.is_speech
     if had_speech:

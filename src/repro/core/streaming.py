@@ -6,8 +6,8 @@ health-screened and appended to the caller's sample store (the serving
 session's :class:`~repro.serving.ring.RingBuffer`), and the newly
 complete frames of that stored stream are folded into the accumulated
 per-frame GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`,
-over the pairs and lag window of the geometry's cached
-:class:`~repro.runtime.plan.ArrayPlan`).  The store holds the
+over the pairs and lag window of the pipeline's orientation
+extractor).  The store holds the
 utterance's one copy of its samples: the accumulator, the early checks
 and the final decision all read it.
 Once enough frames have arrived, the decider re-runs the real pipeline
@@ -66,7 +66,6 @@ from ..dsp.streaming import GccAccumulator
 from ..obs import counter_inc, histogram_observe, obs_enabled
 from ..obs.correlate import correlated, correlation_id
 from ..obs.spans import span
-from ..runtime.plan import plan_for
 from .pipeline import (
     _FEATURE_ERRORS,
     Decision,
@@ -198,19 +197,15 @@ class StreamingDecider:
         utterance_id: str = "",
     ):
         self.pipeline = pipeline
-        self.plan = plan_for(pipeline.array)
         self.check_liveness = bool(check_liveness)
         self.call = call
         self.session_id = session_id
         self.utterance_id = utterance_id
 
         n_mics = pipeline.array.n_mics
+        extractor = pipeline.extractor
         self.accumulator = GccAccumulator(
-            n_mics,
-            self.plan.pair_list,
-            self.plan.max_lag,
-            FRAME_LENGTH,
-            HOP_LENGTH,
+            n_mics, extractor.pairs, extractor.max_lag, FRAME_LENGTH, HOP_LENGTH
         )
         self.buffer = buffer
         self.early: EarlyVerdict | None = None
@@ -407,7 +402,7 @@ class StreamingDecider:
             return None
 
         prefix_samples = n_frames * HOP_LENGTH
-        if prefix_samples < self.plan.min_samples:
+        if prefix_samples < self.pipeline.extractor.min_samples:
             return None
         prefix = Capture(
             channels=self.buffer.prefix(prefix_samples),

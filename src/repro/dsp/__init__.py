@@ -20,7 +20,6 @@ from .gcc import (
 )
 from .precision import (
     DEFAULT_DTYPE,
-    decision_dtype,
     parse_dtype,
     precision,
     resolve_dtype,
@@ -60,7 +59,6 @@ from .windows import frame_signal, get_window, hamming, hann
 __all__ = [
     "BandpassFilter",
     "DEFAULT_DTYPE",
-    "decision_dtype",
     "extract_frames",
     "GccAccumulator",
     "pairwise_gcc_frames",

@@ -69,11 +69,6 @@ def parse_dtype(value, default: np.dtype = DEFAULT_DTYPE, warn: bool = False) ->
 _DTYPE = parse_dtype(os.environ.get("REPRO_DTYPE"), warn=True)
 
 
-def decision_dtype() -> np.dtype:
-    """The dtype the decision hot path currently computes in."""
-    return _DTYPE
-
-
 def set_decision_dtype(dtype) -> np.dtype:
     """Globally set the decision dtype; returns the applied dtype.
 

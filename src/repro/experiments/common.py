@@ -152,16 +152,6 @@ def factor_f1_cells(
     return cells
 
 
-def train_on_all_sessions(
-    dataset: OrientationDataset,
-    definition: FacingDefinition = DEFAULT_DEFINITION,
-    backend: str = "svm",
-) -> OrientationDetector:
-    """Detector trained on every session of a dataset (sensitivity tests
-    reuse the Section IV-A2 model and probe it against new conditions)."""
-    return fit_detector(dataset, definition, backend)
-
-
 def write_run_manifest(
     result: ExperimentResult,
     *,

@@ -42,7 +42,7 @@ from ..datasets.catalog import (
 from ..datasets.collection import CollectionSpec, collect
 from ..ml.metrics import equal_error_rate
 from ..reporting import ExperimentResult
-from .common import default_dataset, train_on_all_sessions
+from .common import default_dataset, fit_detector
 
 ATTACK_FAMILIES = ("eq-replay", "horn-replay", "speakear", "tdoa-replay")
 
@@ -136,7 +136,7 @@ def run(
     live_base = detector.scores([a.reference for a in live_audios], sample_rate)
     live_hard = fused.fused_scores(live_audios, extractor)
 
-    orientation = train_on_all_sessions(default_dataset(scale=scale, seed=seed))
+    orientation = fit_detector(default_dataset(scale=scale, seed=seed))
     live_facing = orientation.facing_probability(extractor.extract_batch(live_audios))
 
     rows = [

@@ -9,7 +9,9 @@ testable input instead of an outage:
 - :mod:`repro.faults.scenario` — seeded :class:`FaultScenario` bundles
   whose corruption is a pure function of ``(scenario, capture)`` —
   byte-identical in any process and order — plus severity-scaled
-  presets.
+  presets, and the content key and keyed random stream
+  (:func:`content_key`, :func:`keyed_rng`) that :mod:`repro.attacks`
+  draws from too.
 
 A caller corrupts a rendered capture explicitly, ``scenario.apply(capture)``
 (E28, :mod:`repro.experiments.exp_fault_tolerance`, does so at each
@@ -30,8 +32,8 @@ from .models import (
 from .scenario import (
     FaultScenario,
     PRESET_NAMES,
-    apply_faults,
-    capture_fault_key,
+    content_key,
+    keyed_rng,
     preset_scenario,
 )
 
@@ -45,7 +47,7 @@ __all__ = [
     "FaultScenario",
     "GainDrift",
     "PRESET_NAMES",
-    "apply_faults",
-    "capture_fault_key",
+    "content_key",
+    "keyed_rng",
     "preset_scenario",
 ]

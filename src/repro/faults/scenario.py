@@ -35,19 +35,35 @@ from .models import (
 __all__ = [
     "FaultScenario",
     "PRESET_NAMES",
-    "apply_faults",
-    "capture_fault_key",
+    "content_key",
+    "keyed_rng",
     "preset_scenario",
 ]
 
 
-def capture_fault_key(capture: Capture) -> str:
-    """Content digest anchoring a capture's fault random stream."""
+def content_key(samples: np.ndarray, sample_rate: int) -> str:
+    """Content digest anchoring a random stream to a sample array.
+
+    blake2b-128 of the float64 sample bytes, the shape and the rate.  It
+    keys a capture's fault stream and an attack recording's stream
+    (:mod:`repro.attacks.models`): same samples, same stream, whatever
+    thread renders them.
+    """
+    x = np.ascontiguousarray(np.asarray(samples, dtype=float))
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.ascontiguousarray(capture.channels).tobytes())
-    digest.update(str(capture.channels.shape).encode())
-    digest.update(str(capture.sample_rate).encode())
+    digest.update(x.tobytes())
+    digest.update(str(x.shape).encode())
+    digest.update(str(sample_rate).encode())
     return digest.hexdigest()
+
+
+def keyed_rng(seed: int, name: str, key: str) -> np.random.Generator:
+    """Generator derived from a seed, a scenario or attack name and a content key."""
+    material = hashlib.blake2b(digest_size=8)
+    material.update(str(seed).encode())
+    material.update(name.encode())
+    material.update(key.encode())
+    return np.random.default_rng(int.from_bytes(material.digest(), "little"))
 
 
 @dataclass(frozen=True)
@@ -58,24 +74,18 @@ class FaultScenario:
     faults: tuple[Fault, ...]
     seed: int = 0
 
-    def rng_for(self, key: str) -> np.random.Generator:
-        """Generator derived from the scenario seed and a capture key."""
-        material = hashlib.blake2b(digest_size=8)
-        material.update(str(self.seed).encode())
-        material.update(self.name.encode())
-        material.update(key.encode())
-        return np.random.default_rng(int.from_bytes(material.digest(), "little"))
-
     def apply(self, capture: Capture, key: str | None = None) -> Capture:
         """Corrupted copy of one capture (the capture itself is untouched).
 
-        ``key`` defaults to :func:`capture_fault_key` of the clean
+        ``key`` defaults to the :func:`content_key` of the clean
         capture; pass an explicit key to decouple the stream from the
         content (e.g. a dataset utterance id).
         """
         if not self.faults:
             return capture
-        rng = self.rng_for(capture_fault_key(capture) if key is None else key)
+        if key is None:
+            key = content_key(capture.channels, capture.sample_rate)
+        rng = keyed_rng(self.seed, self.name, key)
         channels = np.asarray(capture.channels, dtype=float)
         for fault in self.faults:
             channels = fault.apply(channels, capture.sample_rate, rng)
@@ -84,13 +94,6 @@ class FaultScenario:
             for fault in self.faults:
                 counter_inc("faults.applied", kind=type(fault).__name__)
         return Capture(channels=channels, sample_rate=capture.sample_rate)
-
-
-def apply_faults(
-    capture: Capture, scenario: FaultScenario, key: str | None = None
-) -> Capture:
-    """Functional alias for :meth:`FaultScenario.apply`."""
-    return scenario.apply(capture, key=key)
 
 
 def _clamped(severity: float) -> float:

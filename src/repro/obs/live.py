@@ -49,7 +49,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .control import env_int, obs_enabled
+from .control import env_int, obs_enabled, warn_once
 from .metrics import REGISTRY
 from .monitor import slo_monitor
 
@@ -68,20 +68,29 @@ class LiveConfig:
     """Sidecar tunables; :meth:`from_env` reads the bind address.
 
     ``REPRO_LIVE_HOST`` and ``REPRO_LIVE_PORT`` are deployment settings;
-    a malformed port warns once and keeps the default (shared
-    :mod:`repro.obs.control` reader).
+    a malformed or out-of-range port warns once and keeps the default
+    (shared :mod:`repro.obs.control` reader).  A port passed directly
+    outside [0, 65535] raises ``ValueError``.
     """
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_LIVE_PORT
     probe_interval_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in [0, 65535]")
+
     @classmethod
     def from_env(cls) -> "LiveConfig":
-        return cls(
-            host=os.environ.get("REPRO_LIVE_HOST") or cls.host,
-            port=env_int("REPRO_LIVE_PORT", cls.port),
-        )
+        port = env_int("REPRO_LIVE_PORT", cls.port)
+        if not 0 <= port <= 65535:
+            warn_once(
+                "REPRO_LIVE_PORT",
+                f"REPRO_LIVE_PORT={port} is outside [0, 65535]; using {cls.port}",
+            )
+            port = cls.port
+        return cls(host=os.environ.get("REPRO_LIVE_HOST") or cls.host, port=port)
 
 
 class LiveTelemetry:

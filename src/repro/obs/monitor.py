@@ -97,29 +97,6 @@ _STAGE_OF_REASON = {
 }
 
 
-def _check_attack_label(source: str) -> None:
-    """Mislabeled-replay guard: ``attack-*`` slices need the layer armed.
-
-    A decision stream carrying adversarial source labels while the
-    attack layer is disarmed (:func:`repro.attacks.attacks_enabled`)
-    usually means replay traffic was labelled by hand, or a drive forgot
-    to arm :mod:`repro.attacks`; warn once so the per-source quality
-    slices are not silently trusted.
-    """
-    if not source.startswith("attack"):
-        return
-    from ..attacks.control import attacks_enabled  # lazy: keeps obs import-light
-
-    if not attacks_enabled():
-        _warn_once(
-            "attacks.mislabel",
-            f"decision stream carries adversarial source label {source!r} while "
-            "the attack layer is disarmed; arm repro.attacks "
-            "(set_attacks_enabled) for attack-mix traffic so the labels are "
-            "intentional",
-        )
-
-
 REFERENCE_SIZE = 200
 """Scores frozen as a stream's calibration-time reference sample."""
 
@@ -619,7 +596,6 @@ class DecisionMonitor:
                 truth = bool(truth)
                 self.overall.update(truth, accepted)
                 slices = dict(record.get("slices") or {})
-                _check_attack_label(str(slices.get("source", "")))
                 slices["stage"] = _STAGE_OF_REASON.get(reason, "unknown")
                 for axis, label in sorted(slices.items()):
                     key = f"{axis}={label}"

@@ -10,8 +10,6 @@ speed without changing a single output byte:
 - :mod:`repro.runtime.batch` renders :class:`RenderTask` lists, each
   task carrying its own frozen random-stream state, over threads
   (inline on the calling thread at ``workers=1``);
-- :mod:`repro.runtime.plan` memoizes per-``(geometry, fs)`` decision
-  plans: pair lists and lag windows;
 - :mod:`repro.runtime.fanout` maps the batch renderer's and the batch
   decision entry points' per-capture work over a thread pool made for
   that one call.
@@ -32,7 +30,6 @@ from .cache import (
     CacheStats,
     cache_counts,
     cache_enabled,
-    cache_sizes,
     cache_stats,
     cached_band_rirs,
     clear_caches,
@@ -41,19 +38,13 @@ from .cache import (
     set_cache_enabled,
 )
 from .fanout import fan_out, usable_cpus
-from .plan import ArrayPlan, clear_plans, plan_for, plan_stats
 
 __all__ = [
-    "ArrayPlan",
     "CacheStats",
     "InterferenceSpec",
-    "clear_plans",
-    "plan_for",
-    "plan_stats",
     "RenderTask",
     "cache_counts",
     "cache_enabled",
-    "cache_sizes",
     "cache_stats",
     "cached_band_rirs",
     "clear_caches",

@@ -79,9 +79,6 @@ class _LruCache:
         self._entries: OrderedDict = OrderedDict()
         self._lock = Lock()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key):
         with self._lock:
             if key in self._entries:
@@ -146,11 +143,6 @@ def cache_counts() -> dict[str, dict[str, int]]:
         name: {"hits": stats.hits, "misses": stats.misses, "evictions": stats.evictions}
         for name, stats in cache_stats().items()
     }
-
-
-def cache_sizes() -> dict[str, int]:
-    """Current entry counts per cache."""
-    return {"rir": len(_RIR_CACHE), "dry": len(_DRY_CACHE)}
 
 
 def _array_token(value: np.ndarray | None) -> tuple | None:

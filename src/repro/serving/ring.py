@@ -53,11 +53,6 @@ class RingBuffer:
         """Samples of remaining (logical) capacity."""
         return self.capacity - self._length
 
-    @property
-    def overflowed(self) -> bool:
-        """Whether any samples have been dropped since the last clear."""
-        return self.dropped > 0
-
     def _ensure(self, n_samples: int) -> None:
         """Grow the backing store to hold ``n_samples`` (<= capacity)."""
         if n_samples <= self._store.shape[1]:

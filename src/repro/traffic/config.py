@@ -35,9 +35,8 @@ ATTACK_SOURCES = (
     "attack-speakear",
 )
 """Adversarial sources (the :mod:`repro.attacks` families) that join the
-city's traffic only when ``attack_mix`` is positive.  The ``attack-``
-prefix is load-bearing: the decision monitor's mislabeled-replay guard
-keys on it."""
+city's traffic only when ``attack_mix`` is positive; each is a
+``source=`` quality slice like the base sources."""
 
 ATTACK_FAMILY_BY_SOURCE = {
     "attack-eq": "eq-replay",

@@ -421,12 +421,6 @@ def main(argv: list[str] | None = None) -> int:
     # decision monitor must be live regardless of the environment.
     set_obs_enabled(True)
     reset_monitor(config=_traffic_monitor_config())
-    if config.attack_mix > 0.0:
-        # Arm the attack layer so the monitor's mislabeled-replay guard
-        # knows the adversarial labels in this stream are intentional.
-        from ..attacks import set_attacks_enabled
-
-        set_attacks_enabled(True)
 
     print(
         f"city: {config.households} households, {config.hours:g} h, "

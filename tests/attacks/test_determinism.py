@@ -12,12 +12,11 @@ from repro.acoustics import HumanSpeaker
 from repro.attacks import (
     PRESET_NAMES,
     attack_render_tasks,
-    attack_rng,
-    attack_stream_key,
     preset_attack,
     render_attack_captures,
 )
 from repro.dsp.precision import precision
+from repro.faults import content_key, keyed_rng
 from repro.runtime import render_captures
 
 FS = 48_000
@@ -30,21 +29,21 @@ def _scenario(kind="eq-replay", tier=2.0, seed=7):
 class TestStreamKeys:
     def test_content_keyed_not_identity_keyed(self):
         x = np.sin(2 * np.pi * 440.0 * np.arange(FS // 4) / FS)
-        assert attack_stream_key(x, FS) == attack_stream_key(x.copy(), FS)
+        assert content_key(x, FS) == content_key(x.copy(), FS)
 
     def test_sample_rate_in_key(self):
         x = np.sin(2 * np.pi * 440.0 * np.arange(FS // 4) / FS)
-        assert attack_stream_key(x, FS) != attack_stream_key(x, FS // 2)
+        assert content_key(x, FS) != content_key(x, FS // 2)
 
     def test_content_changes_key(self):
         x = np.sin(2 * np.pi * 440.0 * np.arange(FS // 4) / FS)
-        assert attack_stream_key(x, FS) != attack_stream_key(x * 0.5, FS)
+        assert content_key(x, FS) != content_key(x * 0.5, FS)
 
     def test_rng_depends_on_all_parts(self):
-        key = attack_stream_key(np.ones(64), FS)
-        base = attack_rng(0, "attack-eq", key).integers(1 << 30)
-        assert attack_rng(1, "attack-eq", key).integers(1 << 30) != base
-        assert attack_rng(0, "attack-horn", key).integers(1 << 30) != base
+        key = content_key(np.ones(64), FS)
+        base = keyed_rng(0, "attack-eq", key).integers(1 << 30)
+        assert keyed_rng(1, "attack-eq", key).integers(1 << 30) != base
+        assert keyed_rng(0, "attack-horn", key).integers(1 << 30) != base
 
 
 class TestEmissionDeterminism:

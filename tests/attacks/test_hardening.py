@@ -17,7 +17,6 @@ from repro.core.liveness import (
     FusedLivenessDetector,
     LivenessDetector,
     band_confidences,
-    cue_score,
     liveness_cues,
 )
 from repro.dsp.stats import window_score
@@ -82,10 +81,6 @@ class TestLivenessCues:
         cues = liveness_cues(_speech_like(), FS)
         expected = 0.7 * cues.decay_score + 0.3 * cues.residual_floor_score
         assert cues.score == pytest.approx(np.clip(expected, 0.0, 1.0))
-
-    def test_cue_score_matches(self):
-        x = _speech_like(seed=5)
-        assert cue_score(x, FS) == liveness_cues(x, FS).score
 
 
 class TestArrayCues:
@@ -162,7 +157,7 @@ class TestFusedLivenessDetector:
             base=_StubBase(1.0), cue_weight=0.4, array_weight=0.1
         )
         x = _speech_like(seed=2)
-        expected = 0.5 * 1.0 + 0.5 * cue_score(x, FS)
+        expected = 0.5 * 1.0 + 0.5 * liveness_cues(x, FS).score
         assert fused.scores([x], FS)[0] == pytest.approx(expected)
 
     def test_fused_scores_without_extractor_is_single_channel(self):

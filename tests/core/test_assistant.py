@@ -27,7 +27,7 @@ class StubPipeline:
 
         self.config = _Config()
 
-    def evaluate(self, capture):
+    def evaluate(self, capture, check_liveness=True, **kwargs):
         return Decision(
             accepted=self.accept,
             reason="accepted" if self.accept else "non-facing",

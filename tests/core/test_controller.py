@@ -20,6 +20,7 @@ class StubPipeline:
     def __init__(self, accept: bool, session_seconds: float = 60.0):
         self.accept = accept
         self.calls = 0
+        self.kwargs = None
 
         class _Config:
             pass
@@ -27,8 +28,9 @@ class StubPipeline:
         self.config = _Config()
         self.config.session_seconds = session_seconds
 
-    def evaluate(self, capture):
+    def evaluate(self, capture, check_liveness=True, **kwargs):
         self.calls += 1
+        self.kwargs = kwargs
         return Decision(
             accepted=self.accept,
             reason="accepted" if self.accept else "non-facing",
@@ -78,6 +80,7 @@ class TestNormalMode:
     def test_pipeline_not_consulted(self):
         stub = StubPipeline(True)
         controller = VoiceAssistantController(pipeline=stub)
+        assert not controller.needs_gate(0.0)
         controller.on_wake_word(capture())
         assert stub.calls == 0
 
@@ -87,6 +90,7 @@ class TestMuteMode:
         stub = StubPipeline(True)
         controller = VoiceAssistantController(pipeline=stub)
         controller.press_mute_button()
+        assert not controller.needs_gate(0.0)
         event = controller.on_wake_word(capture())
         assert event.kind is EventKind.HARD_MUTED
         assert stub.calls == 0
@@ -117,10 +121,21 @@ class TestHeadTalkMode:
     def test_session_commands_skip_pipeline(self):
         controller = self.make(accept=True)
         stub = controller.pipeline
+        assert controller.needs_gate(0.0)
         controller.on_wake_word(capture(), now=0.0)
+        assert stub.calls == 1
+        assert not controller.needs_gate(10.0)
         event = controller.on_wake_word(capture(), now=10.0)
         assert event.kind is EventKind.SESSION_COMMAND
         assert stub.calls == 1  # only the first wake word was evaluated
+        assert controller.needs_gate(61.0)  # the session has expired
+        controller.on_wake_word(capture(), now=61.0)
+        assert stub.calls == 2
+
+    def test_labels_reach_the_pipeline(self):
+        controller = self.make(accept=True)
+        controller.on_wake_word(capture(), now=0.0, truth=True, slices={"source": "live"})
+        assert controller.pipeline.kwargs == {"truth": True, "slices": {"source": "live"}}
 
     def test_session_expires(self):
         controller = self.make(accept=True, session_seconds=5.0)

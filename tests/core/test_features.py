@@ -8,6 +8,7 @@ import pytest
 from repro.arrays import get_device
 from repro.core import GccOnlyFeatureExtractor, OrientationFeatureExtractor, preprocess
 from repro.core.preprocessing import DenoisedAudio
+from repro.dsp import srp_max_lag_for
 
 
 class TestDimensions:
@@ -46,6 +47,21 @@ class TestDimensions:
         assert groups["srp"].stop - groups["srp"].start == 8  # 3 peaks + 5 stats
         assert groups["stats"].stop - groups["stats"].start == 5
         assert groups["directivity"].stop - groups["directivity"].start == 61
+
+
+class TestGeometryFacts:
+    """Both extractors derive the pair list and lag window at construction."""
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "D3", "subset"])
+    def test_extractors_match_array_facts(self, name):
+        if name == "subset":
+            array = get_device("D2").subset([0, 1, 3, 4])
+        else:
+            array = get_device(name)
+        for extractor in (OrientationFeatureExtractor(array), GccOnlyFeatureExtractor(array)):
+            assert extractor.pairs == tuple(array.pairs())
+            assert extractor.max_lag == srp_max_lag_for(array)
+            assert extractor.pairs is extractor.pairs  # held, not re-derived
 
 
 class TestExtraction:

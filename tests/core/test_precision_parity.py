@@ -13,7 +13,7 @@ from repro.arrays import get_device
 from repro.core import HeadTalkPipeline, OrientationFeatureExtractor
 from repro.core.liveness import LivenessDetector
 from repro.core.preprocessing import DenoisedAudio
-from repro.dsp import decision_dtype, precision
+from repro.dsp import precision, resolve_dtype
 
 # Looser than machine-eps because GCC whitening divides by small cross-
 # power magnitudes; empirically parity holds far below these bounds.
@@ -105,7 +105,7 @@ class TestDecisionParity:
             )
 
     def test_scope_restores_default(self):
-        assert decision_dtype() == np.dtype(np.float64)
+        assert resolve_dtype() == np.dtype(np.float64)
         with precision("float32"):
-            assert decision_dtype() == np.dtype(np.float32)
-        assert decision_dtype() == np.dtype(np.float64)
+            assert resolve_dtype() == np.dtype(np.float32)
+        assert resolve_dtype() == np.dtype(np.float64)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.dsp.precision import (
     DEFAULT_DTYPE,
-    decision_dtype,
     fft_api,
     parse_dtype,
     precision,
@@ -19,7 +18,7 @@ from repro.obs import control as obs_control
 
 @pytest.fixture(autouse=True)
 def _restore_dtype():
-    previous = decision_dtype()
+    previous = resolve_dtype()
     yield
     set_decision_dtype(previous)
 
@@ -52,13 +51,13 @@ class TestParseDtype:
 
 class TestGlobalDtype:
     def test_default_is_float64(self):
-        assert decision_dtype() == np.dtype(np.float64)
+        assert resolve_dtype() == np.dtype(np.float64)
 
     def test_set_and_restore(self):
         set_decision_dtype("float32")
-        assert decision_dtype() == np.dtype(np.float32)
+        assert resolve_dtype() == np.dtype(np.float32)
         set_decision_dtype(np.float64)
-        assert decision_dtype() == np.dtype(np.float64)
+        assert resolve_dtype() == np.dtype(np.float64)
 
     def test_set_rejects_unsupported(self):
         with pytest.raises(ValueError, match="float32 or float64"):
@@ -67,9 +66,9 @@ class TestGlobalDtype:
     def test_precision_scope_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with precision("float32"):
-                assert decision_dtype() == np.dtype(np.float32)
+                assert resolve_dtype() == np.dtype(np.float32)
                 raise RuntimeError("boom")
-        assert decision_dtype() == np.dtype(np.float64)
+        assert resolve_dtype() == np.dtype(np.float64)
 
     def test_resolve_explicit_wins_over_global(self):
         with precision("float32"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.acoustics import Capture
-from repro.faults import PRESET_NAMES, capture_fault_key, preset_scenario
+from repro.faults import PRESET_NAMES, content_key, keyed_rng, preset_scenario
 
 FS = 48_000
 
@@ -45,15 +45,14 @@ class TestScenarioDeterminism:
         scenario = preset_scenario("burst-noise", seed=0)
         capture = _capture()
         clone = Capture(channels=capture.channels.copy(), sample_rate=FS)
-        assert capture_fault_key(capture) == capture_fault_key(clone)
+        assert content_key(capture.channels, FS) == content_key(clone.channels, FS)
         assert np.array_equal(
             scenario.apply(capture).channels, scenario.apply(clone).channels
         )
 
     def test_sample_rate_in_key(self):
-        capture = _capture()
-        other = Capture(channels=capture.channels, sample_rate=FS // 2)
-        assert capture_fault_key(capture) != capture_fault_key(other)
+        channels = _capture().channels
+        assert content_key(channels, FS) != content_key(channels, FS // 2)
 
     def test_preserves_shape_and_rate(self):
         capture = _capture()
@@ -61,3 +60,25 @@ class TestScenarioDeterminism:
             out = preset_scenario(name).apply(capture)
             assert out.channels.shape == capture.channels.shape
             assert out.sample_rate == capture.sample_rate
+
+
+class TestPinnedStream:
+    """Literal values: the key and stream every fault and attack render draws from.
+
+    A change to either function silently re-randomizes every corrupted
+    capture and every attack emission; these values were recorded before
+    the fault and attack layers shared one definition of each.
+    """
+
+    def test_content_key_value(self):
+        x = np.arange(12, dtype=float).reshape(3, 4) / 7.0
+        assert content_key(x, 48_000) == "184dea488dbbe655d923b61a965624a0"
+        y = np.linspace(-1.0, 1.0, 9)
+        assert content_key(y, 16_000) == "7bdda1044f9b4d4cff4a8aebc6b3a6ce"
+
+    def test_keyed_rng_first_draws(self):
+        key = "184dea488dbbe655d923b61a965624a0"
+        draws = keyed_rng(7, "attack-eq", key).integers(1 << 30, size=3)
+        assert draws.tolist() == [228743006, 695631382, 592126084]
+        normals = keyed_rng(3, "dropouts@1.5", "utt-0001").standard_normal(2)
+        assert normals.tolist() == [-0.08534453978975838, 0.33691590529305476]

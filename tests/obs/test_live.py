@@ -215,6 +215,18 @@ class TestLiveConfig:
             warnings.simplefilter("error")
             assert LiveConfig.from_env().port == DEFAULT_LIVE_PORT  # silent now
 
+    @pytest.mark.parametrize("port", [-5, 65536])
+    def test_out_of_range_port_rejected(self, port):
+        with pytest.raises(ValueError, match="port"):
+            LiveConfig(port=port)
+
+    def test_out_of_range_env_port_warns_once_and_keeps_default(self, monkeypatch):
+        monkeypatch.setattr(obs_control, "_WARNED", set())
+        monkeypatch.setenv("REPRO_LIVE_PORT", "70000")
+        with pytest.warns(RuntimeWarning, match="REPRO_LIVE_PORT=70000"):
+            config = LiveConfig.from_env()
+        assert config.port == DEFAULT_LIVE_PORT
+
 
 class TestWatch:
     def test_render_dashboard_is_pure_and_complete(self):

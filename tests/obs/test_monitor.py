@@ -570,44 +570,15 @@ class TestCli:
         assert monitor_main(["validate", str(tmp_path / "absent.json")]) == 2
 
 
-class TestMislabeledReplayGuard:
-    """``attack-*`` slice labels require the attack layer to be armed."""
+class TestSourceLabels:
+    """Adversarial and ordinary ``source=`` labels are plain quality slices."""
 
-    def test_attack_label_with_layer_disarmed_warns_once(self, monkeypatch):
-        from repro.attacks import attacks_enabled
-
-        monkeypatch.setattr(obs_control, "_WARNED", set())
-        assert not attacks_enabled()
-        monitor = DecisionMonitor(config=MonitorConfig())
-        record = lambda: decision_record(truth=False, slices={"source": "attack-eq"})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            monitor.consume(record())
-            monitor.consume(record())
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "attack-eq" in str(runtime[0].message)
-
-    def test_attack_label_with_layer_armed_is_silent(self, monkeypatch):
-        from repro.attacks import set_attacks_enabled
-
-        monkeypatch.setattr(obs_control, "_WARNED", set())
-        set_attacks_enabled(True)
-        try:
-            monitor = DecisionMonitor(config=MonitorConfig())
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                monitor.consume(
-                    decision_record(truth=False, slices={"source": "attack-tdoa"})
-                )
-        finally:
-            set_attacks_enabled(False)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    def test_ordinary_labels_never_touch_the_guard(self, monkeypatch):
+    @pytest.mark.parametrize("source", ["attack-eq", "attack-tdoa", "replay"])
+    def test_source_label_is_silent(self, monkeypatch, source):
         monkeypatch.setattr(obs_control, "_WARNED", set())
         monitor = DecisionMonitor(config=MonitorConfig())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            monitor.consume(decision_record(truth=False, slices={"source": "replay"}))
+            monitor.consume(decision_record(truth=False, slices={"source": source}))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert f"source={source}" in monitor.slices
