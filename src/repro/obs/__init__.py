@@ -25,7 +25,8 @@ is a function call and a dict/global lookup.  Enable per process with
 - :mod:`repro.obs.profile` — opt-in (``REPRO_PROFILE=1``) tracemalloc
   peak + cProfile top-N capture around pipeline/render regions;
 - :mod:`repro.obs.bench` — schema-versioned ``BENCH_<name>.json``
-  reports and the ``python -m repro.obs.bench --compare`` CI gate
+  reports, the ``python -m repro.obs.bench --compare`` CI gate and the
+  comparator, writer and loader the quality gate and manifests share
   (imported explicitly, not re-exported here, so the ``-m`` entry
   point stays clean; ``python -m repro.obs.metrics`` likewise dumps
   Prometheus text);
@@ -35,7 +36,9 @@ is a function call and a dict/global lookup.  Enable per process with
   calibration (ECE), and the ``python -m repro.obs.monitor replay``
   CLI that rebuilds monitor state from an audit JSONL and emits
   gateable ``QUALITY_<name>.json`` reports (like bench, imported
-  explicitly to keep its ``-m`` entry point clean).
+  explicitly to keep its ``-m`` entry point clean);
+- :mod:`repro.obs.slo` — multi-window SLO burn-rate alarms over serving
+  decisions, read by the live sidecar's ``/alarms`` and ``/readyz``.
 
 See ``docs/OBSERVABILITY.md``.
 """

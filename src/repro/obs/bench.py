@@ -32,8 +32,14 @@ The comparator is the CI gate::
 
 exits 0 when every gated metric of ``baseline`` is within the threshold
 in ``current`` (and every equivalence bit matches), 1 on any regression,
-missing metric or schema problem, 2 on usage errors.  ``--validate``
-checks a single report against the schema.
+missing metric or schema problem, 2 on usage errors (a negative
+``--max-regress`` included).  The threshold is relative, so a zero
+baseline is never gated.  ``--validate`` checks a single report against
+the schema.
+
+Its :func:`compare_rows` also serves the quality gate
+(:mod:`repro.obs.monitor`), and all three obs documents share its
+header check, writer and loader.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 SCHEMA = "repro.obs.bench/1"
 
@@ -161,12 +168,7 @@ class BenchReport:
     def write(self, path) -> dict:
         """Validate and write the report; returns the document."""
         document = self.to_dict()
-        problems = validate(document)
-        if problems:
-            raise ValueError("refusing to write invalid report: " + "; ".join(problems))
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_document(path, document, validate, "report")
         return document
 
     @classmethod
@@ -189,15 +191,9 @@ class BenchReport:
 
 def validate(document) -> list[str]:
     """Problems that make ``document`` not a valid v1 bench report."""
-    problems: list[str] = []
+    problems = header_problems(document, SCHEMA)
     if not isinstance(document, dict):
-        return ["document is not a JSON object"]
-    if document.get("schema") != SCHEMA:
-        problems.append(f"schema is {document.get('schema')!r}, expected {SCHEMA!r}")
-    if not isinstance(document.get("name"), str) or not document.get("name"):
-        problems.append("name must be a non-empty string")
-    if not isinstance(document.get("created"), (int, float)):
-        problems.append("created must be an epoch timestamp")
+        return problems
     if not isinstance(document.get("env"), dict):
         problems.append("env must be an object")
     metrics = document.get("metrics")
@@ -241,9 +237,51 @@ def validate(document) -> list[str]:
     return problems
 
 
+def header_problems(document, schema: str) -> list[str]:
+    """Problems in the header every :mod:`repro.obs` document opens with:
+    ``schema`` equal to ``schema``, a non-empty ``name``, an epoch
+    ``created`` (or the one problem of not being a JSON object)."""
+    if not isinstance(document, dict):
+        return ["document is not a JSON object"]
+    problems: list[str] = []
+    if document.get("schema") != schema:
+        problems.append(f"schema is {document.get('schema')!r}, expected {schema!r}")
+    if not isinstance(document.get("name"), str) or not document.get("name"):
+        problems.append("name must be a non-empty string")
+    if not isinstance(document.get("created"), (int, float)):
+        problems.append("created must be an epoch timestamp")
+    return problems
+
+
+def write_document(path, document: dict, validate, what: str) -> Path:
+    """Write ``document`` as indented, key-sorted JSON, creating parent
+    directories, unless ``validate`` finds a problem; returns the path."""
+    problems = validate(document)
+    if problems:
+        raise ValueError(f"refusing to write invalid {what}: " + "; ".join(problems))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
+def load_document(path, validate) -> tuple[dict | None, list[str]]:
+    """Read and ``validate`` one JSON document: ``(document, problems)``,
+    each problem prefixed with ``path``; the document is ``None`` when
+    the file cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, json.JSONDecodeError) as error:
+        return None, [f"{path}: {error}"]
+    return document, [f"{path}: {problem}" for problem in validate(document)]
+
+
 @dataclass
 class Comparison:
-    """Outcome of comparing a current report against a baseline."""
+    """Outcome of comparing current metric rows against a baseline's."""
 
     rows: list[dict] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
@@ -254,28 +292,27 @@ class Comparison:
         return not self.failures
 
 
-def compare(baseline: dict, current: dict, max_regress_pct: float = 25.0) -> Comparison:
-    """Gate ``current`` against ``baseline``.
+def compare_rows(baseline: dict, current: dict, bound) -> Comparison:
+    """Gate the ``{name: metric}`` rows of ``current`` against ``baseline``.
 
-    Numeric gated metrics may regress by at most ``max_regress_pct``
-    percent in their worse direction; equivalence metrics must match
-    exactly; metrics present in the baseline must still exist.
+    Rows look like a bench report's ``metrics``.  An ``equivalence``
+    metric must match exactly; an ``info`` or ungated one never fails; a
+    baseline metric missing from ``current`` fails; one only in
+    ``current`` is listed as ``new``.  A gated number fails once it is
+    worse than ``bound(baseline_value, direction)``, the worst value the
+    caller allows; a ``None`` bound leaves it ``info``.
     """
-    if max_regress_pct < 0:
-        raise ValueError("max_regress_pct must be >= 0")
     outcome = Comparison()
-    allowance = 1.0 + max_regress_pct / 100.0
-    for name, base in baseline.get("metrics", {}).items():
-        row = {"metric": name, "kind": base.get("kind"), "baseline": base.get("value")}
-        cur = current.get("metrics", {}).get(name)
+    for name, base in baseline.items():
+        base_value = base.get("value")
+        row = {"metric": name, "kind": base.get("kind"), "baseline": base_value}
+        outcome.rows.append(row)
+        cur = current.get(name)
         if cur is None:
             row.update(current=None, status="missing")
             outcome.failures.append(f"{name}: present in baseline, missing from current")
-            outcome.rows.append(row)
             continue
-        value = cur.get("value")
-        row["current"] = value
-        base_value = base.get("value")
+        value = row["current"] = cur.get("value")
         if base.get("kind") == "equivalence":
             if value == base_value:
                 row["status"] = "ok"
@@ -284,51 +321,68 @@ def compare(baseline: dict, current: dict, max_regress_pct: float = 25.0) -> Com
                 outcome.failures.append(
                     f"{name}: equivalence changed ({base_value!r} -> {value!r})"
                 )
-        elif not base.get("gate", True) or base.get("kind") == "info":
+            continue
+        if not base.get("gate", True) or base.get("kind") == "info":
             row["status"] = "info"
+            continue
+        try:
+            base_number, number = float(base_value), float(value)
+        except (TypeError, ValueError):
+            row["status"] = "FAIL"
+            outcome.failures.append(f"{name}: non-numeric value in a gated metric")
+            continue
+        row["ratio"] = number / base_number if base_number else None
+        direction = base.get("direction", "lower")
+        limit = None if direction == "none" else bound(base_number, direction)
+        if limit is None:
+            row["status"] = "info"
+        elif (number > limit) if direction == "lower" else (number < limit):
+            row["status"] = "FAIL"
+            outcome.failures.append(
+                f"{name}: {number:.6g} is worse than its bound {limit:.6g} "
+                f"(baseline {base_number:.6g})"
+            )
         else:
-            try:
-                base_number, number = float(base_value), float(value)
-            except (TypeError, ValueError):
-                row["status"] = "FAIL"
-                outcome.failures.append(f"{name}: non-numeric value in a gated metric")
-                outcome.rows.append(row)
-                continue
-            row["ratio"] = number / base_number if base_number else None
-            direction = base.get("direction", "lower")
-            if base_number <= 0 or direction == "none":
-                row["status"] = "info"
-            elif direction == "lower" and number > base_number * allowance:
-                row["status"] = "FAIL"
-                outcome.failures.append(
-                    f"{name}: {number:.6g} exceeds baseline {base_number:.6g} "
-                    f"by more than {max_regress_pct:g}%"
-                )
-            elif direction == "higher" and number < base_number / allowance:
-                row["status"] = "FAIL"
-                outcome.failures.append(
-                    f"{name}: {number:.6g} fell below baseline {base_number:.6g} "
-                    f"by more than {max_regress_pct:g}%"
-                )
-            else:
-                row["status"] = "ok"
-        outcome.rows.append(row)
-    for name in current.get("metrics", {}):
-        if name not in baseline.get("metrics", {}):
+            row["status"] = "ok"
+    for name, cur in current.items():
+        if name not in baseline:
             outcome.rows.append(
                 {
                     "metric": name,
-                    "kind": current["metrics"][name].get("kind"),
+                    "kind": cur.get("kind"),
                     "baseline": None,
-                    "current": current["metrics"][name].get("value"),
+                    "current": cur.get("value"),
                     "status": "new",
                 }
             )
     return outcome
 
 
-def format_comparison(outcome: Comparison, max_regress_pct: float) -> str:
-    """Human-readable comparison table plus verdict line."""
+def tolerance(value) -> float:
+    """A gate tolerance >= 0, else ``ValueError``; as the CLIs' argparse
+    ``type``, a negative ``--max-regress`` is a usage error (exit 2)."""
+    value = float(value)
+    if not value >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {value!r}")
+    return value
+
+
+def compare(baseline: dict, current: dict, max_regress_pct: float = 25.0) -> Comparison:
+    """Gate bench report ``current`` against ``baseline``: a gated number
+    may be ``max_regress_pct`` percent worse, relative to a positive
+    baseline; a zero or negative baseline leaves it ``info``."""
+    allowance = 1.0 + tolerance(max_regress_pct) / 100.0
+
+    def bound(base: float, direction: str) -> float | None:
+        if base <= 0:
+            return None
+        return base * allowance if direction == "lower" else base / allowance
+
+    return compare_rows(baseline.get("metrics", {}), current.get("metrics", {}), bound)
+
+
+def format_comparison(outcome: Comparison, within: str) -> str:
+    """The comparison table plus a verdict line (``within``: the tolerance, e.g. ``25%``)."""
     headers = ("metric", "baseline", "current", "ratio", "status")
     lines = ["%-44s %12s %12s %8s  %s" % headers]
 
@@ -351,22 +405,12 @@ def format_comparison(outcome: Comparison, max_regress_pct: float) -> str:
             )
         )
     if outcome.passed:
-        lines.append(f"PASS: all gated metrics within {max_regress_pct:g}% of baseline")
+        lines.append(f"PASS: all gated metrics within {within} of baseline")
     else:
         lines.append(f"FAIL: {len(outcome.failures)} gated metric(s) regressed")
         for failure in outcome.failures:
             lines.append(f"  - {failure}")
     return "\n".join(lines)
-
-
-def _load(path) -> tuple[dict | None, list[str]]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        return None, [f"{path}: {error}"]
-    problems = validate(document)
-    return document, [f"{path}: {problem}" for problem in problems]
 
 
 def main(argv=None) -> int:
@@ -383,35 +427,29 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--max-regress",
-        type=float,
+        type=tolerance,
         default=25.0,
         metavar="PCT",
-        help="allowed regression on gated numeric metrics, percent (default 25)",
+        help="allowed regression on gated numeric metrics, percent >= 0 (default 25)",
     )
     parser.add_argument("--validate", metavar="REPORT", help="schema-check one report")
     args = parser.parse_args(argv)
+    paths = [args.validate] if args.validate else args.compare
+    if not paths:
+        parser.print_help()
+        return 2
+    loaded = [load_document(path, validate) for path in paths]
+    problems = [problem for _, found in loaded for problem in found]
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
+    documents = [document for document, _ in loaded]
     if args.validate:
-        document, problems = _load(args.validate)
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 1
-        print(f"{args.validate}: valid {SCHEMA} report ({len(document['metrics'])} metrics)")
+        print(f"{args.validate}: valid {SCHEMA} report ({len(documents[0]['metrics'])} metrics)")
         return 0
-    if args.compare:
-        baseline_path, current_path = args.compare
-        baseline, problems = _load(baseline_path)
-        current, more = _load(current_path)
-        problems += more
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 1
-        outcome = compare(baseline, current, args.max_regress)
-        print(format_comparison(outcome, args.max_regress))
-        return 0 if outcome.passed else 1
-    parser.print_help()
-    return 2
+    outcome = compare(*documents, args.max_regress)
+    print(format_comparison(outcome, f"{args.max_regress:g}%"))
+    return 0 if outcome.passed else 1
 
 
 if __name__ == "__main__":

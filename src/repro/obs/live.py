@@ -10,7 +10,7 @@ own event loop (stdlib ``asyncio`` only, no web framework) answering:
 - ``/healthz`` — liveness: the loop is turning (uptime, session count);
 - ``/readyz`` — readiness: admission still open (below
   ``max_sessions``) and no SLO burn-rate alarm firing
-  (:mod:`repro.obs.monitor`); 503 otherwise, with the failing checks
+  (:mod:`repro.obs.slo`); 503 otherwise, with the failing checks
   in the JSON body;
 - ``/sessions`` — per-session JSON (mode, streaming/gated flags, ring
   occupancy, current utterance id) via
@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import os
 import sys
 import time
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 from .control import env_int, obs_enabled, warn_once
 from .metrics import REGISTRY
-from .monitor import slo_monitor
+from .slo import slo_monitor
 
 DEFAULT_LIVE_PORT = 9469
 """Default sidecar port (``REPRO_LIVE_PORT``)."""
@@ -70,7 +71,8 @@ class LiveConfig:
     ``REPRO_LIVE_HOST`` and ``REPRO_LIVE_PORT`` are deployment settings;
     a malformed or out-of-range port warns once and keeps the default
     (shared :mod:`repro.obs.control` reader).  A port passed directly
-    outside [0, 65535] raises ``ValueError``.
+    outside [0, 65535], or a probe interval that is not finite and
+    positive, raises ``ValueError``.
     """
 
     host: str = "127.0.0.1"
@@ -80,6 +82,10 @@ class LiveConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in [0, 65535]")
+        # NaN fails both comparisons; at 0 or below the probe would run
+        # on every loop turn and misread the loop's lag.
+        if not 0 < self.probe_interval_s < math.inf:
+            raise ValueError("probe_interval_s must be finite and > 0")
 
     @classmethod
     def from_env(cls) -> "LiveConfig":

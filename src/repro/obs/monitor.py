@@ -23,12 +23,7 @@ that lands in the audit log) and maintains three views:
   ``(facing_probability, truth)`` pairs scored with
   :func:`repro.ml.calibration.expected_calibration_error`.
 
-A separate process-global :class:`SloMonitor` watches the serving
-plane's *operational* SLOs (p95 decision latency, fail-closed rate)
-with multi-window burn-rate alarms over sliding
-:class:`~repro.obs.metrics.WindowedCounter` windows; the live telemetry
-sidecar (:mod:`repro.obs.live`) surfaces its active alarms on
-``/alarms`` and folds them into ``/readyz``.
+The serving plane's operational SLOs live in :mod:`repro.obs.slo`.
 
 Everything is gated behind ``obs_enabled()``: with observability off
 the hot path pays one function call and a global read, nothing more.
@@ -45,8 +40,8 @@ log::
 ``replay`` writes a schema-versioned ``QUALITY_<name>.json`` report
 (``repro.obs.monitor/1``) next to the ``BENCH_*.json`` family;
 ``compare`` gates FAR/FRR/ECE against a committed baseline with a
-tolerance in percentage points (exit 1 on regression, mirroring
-``python -m repro.obs.bench --compare``).
+tolerance in percentage points (exit 1 on regression, 2 on a bad
+report or negative tolerance) through the bench gate's comparator.
 
 Window sizes, detector tuning and slice-bucket edges are module
 constants; the PSI alert level is the one :class:`MonitorConfig` field,
@@ -68,13 +63,23 @@ import threading
 import time
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .audit import audit_record
-from .control import env_float, obs_enabled
+from .bench import (
+    Comparison,
+    compare_rows,
+    env_fingerprint,
+    format_comparison,
+    header_problems,
+    load_document,
+    tolerance,
+    write_document,
+)
+from .control import obs_enabled
 from .control import warn_once as _warn_once
-from .metrics import WindowedCounter, counter_inc, gauge_set
+from .metrics import counter_inc, gauge_set
 
 SCHEMA = "repro.obs.monitor/1"
 
@@ -673,235 +678,11 @@ def reset_monitor(config: MonitorConfig | None = None) -> None:
 
 
 # --------------------------------------------------------------------------
-# SLO burn-rate alarms (multi-window)
-
-DEFAULT_SLO_LATENCY_MS = 1000.0
-"""Default p95 decision-latency SLO threshold (``REPRO_LIVE_SLO_P95_MS``)."""
-
-DEFAULT_SLO_BUDGET = 0.05
-"""Default error budget: at most this fraction of decisions may be bad."""
-
-
-@dataclass(frozen=True)
-class SloRule:
-    """One SLO: what makes a decision *bad* and when to alarm on it.
-
-    ``threshold_ms`` set makes the rule a latency SLO (bad = slower than
-    the threshold); left ``None`` the rule watches fail-closed decisions
-    (bad = ``degraded-input``).  With ``budget`` 0.05 a latency rule has
-    p95 semantics: sustained burn ≥ 1 means more than 5 % of decisions
-    exceed the threshold, i.e. the p95 is above it.
-
-    Alarms use the standard multi-window burn rate: burn =
-    bad_fraction / budget, and the alarm fires only while *both* the
-    fast and slow windows burn at ``burn_threshold`` or more with at
-    least ``min_events`` decisions in the fast window — fast-only
-    spikes and slow-only stale burns don't page.
-    """
-
-    name: str
-    budget: float = DEFAULT_SLO_BUDGET
-    threshold_ms: float | None = None
-    fast_window_s: float = 60.0
-    slow_window_s: float = 300.0
-    burn_threshold: float = 1.0
-    min_events: int = 20
-
-
-@dataclass(frozen=True)
-class BurnAlarm:
-    """One rising-edge SLO alarm (the moment a rule started firing)."""
-
-    slo: str
-    burn_fast: float
-    burn_slow: float
-    burn_threshold: float
-    budget: float
-    events_fast: float
-    raised_ts: float = field(default_factory=time.time)
-
-    def as_dict(self) -> dict:
-        """JSON-able form (what the audit record and ``/alarms`` carry)."""
-        return {
-            "slo": self.slo,
-            "burn_fast": self.burn_fast,
-            "burn_slow": self.burn_slow,
-            "burn_threshold": self.burn_threshold,
-            "budget": self.budget,
-            "events_fast": self.events_fast,
-            "raised_ts": self.raised_ts,
-        }
-
-
-class SloTracker:
-    """Burn-rate state for one :class:`SloRule` (caller serializes access)."""
-
-    def __init__(self, rule: SloRule, clock=time.monotonic) -> None:
-        windows = tuple(sorted({rule.fast_window_s, rule.slow_window_s}))
-        self.rule = rule
-        self.total = WindowedCounter(windows, clock=clock)
-        self.bad = WindowedCounter(windows, clock=clock)
-        self.active = False
-
-    def burn_rate(self, window_s: float) -> float:
-        """bad_fraction / budget over the trailing ``window_s`` seconds."""
-        total = self.total.count(window_s)
-        if total <= 0:
-            return 0.0
-        return (self.bad.count(window_s) / total) / self.rule.budget
-
-    def firing(self) -> bool:
-        """Whether the multi-window alarm condition currently holds."""
-        rule = self.rule
-        return (
-            self.total.count(rule.fast_window_s) >= rule.min_events
-            and self.burn_rate(rule.fast_window_s) >= rule.burn_threshold
-            and self.burn_rate(rule.slow_window_s) >= rule.burn_threshold
-        )
-
-    def observe(self, bad: bool) -> BurnAlarm | None:
-        """Fold one decision in; returns an alarm on the rising edge."""
-        self.total.inc()
-        if bad:
-            self.bad.inc()
-        firing = self.firing()
-        if firing and not self.active:
-            self.active = True
-            rule = self.rule
-            return BurnAlarm(
-                slo=rule.name,
-                burn_fast=self.burn_rate(rule.fast_window_s),
-                burn_slow=self.burn_rate(rule.slow_window_s),
-                burn_threshold=rule.burn_threshold,
-                budget=rule.budget,
-                events_fast=self.total.count(rule.fast_window_s),
-            )
-        if not firing:
-            self.active = False
-        return None
-
-    def snapshot(self) -> dict:
-        """JSON-able state: the rule, current burns, and firing flag."""
-        rule = self.rule
-        return {
-            "slo": rule.name,
-            "threshold_ms": rule.threshold_ms,
-            "budget": rule.budget,
-            "burn_threshold": rule.burn_threshold,
-            "min_events": rule.min_events,
-            "windows_s": [rule.fast_window_s, rule.slow_window_s],
-            "burn_fast": self.burn_rate(rule.fast_window_s),
-            "burn_slow": self.burn_rate(rule.slow_window_s),
-            "events_fast": self.total.count(rule.fast_window_s),
-            "firing": self.firing(),
-        }
-
-
-def default_slo_rules() -> tuple[SloRule, ...]:
-    """The serving SLOs at :class:`SloRule`'s default budget and windows.
-
-    The p95 latency threshold is the one deployment setting:
-    ``REPRO_LIVE_SLO_P95_MS`` (a malformed value warns once and keeps
-    :data:`DEFAULT_SLO_LATENCY_MS`).
-    """
-    return (
-        SloRule(
-            "serving.latency_p95",
-            threshold_ms=env_float("REPRO_LIVE_SLO_P95_MS", DEFAULT_SLO_LATENCY_MS),
-        ),
-        SloRule("serving.fail_closed"),
-    )
-
-
-class SloMonitor:
-    """Multi-rule SLO watcher fed by serving decisions.
-
-    Each decision's wall time and reason are judged against every rule;
-    rising-edge alarms increment ``monitor.slo_alarms`` and land in the
-    audit log as ``slo-alarm`` records.  ``/alarms`` and ``/readyz``
-    read :meth:`active_alarms`, which re-evaluates the window state at
-    read time, so alarms clear on their own as the burn decays.
-    """
-
-    def __init__(self, rules=None, clock=time.monotonic) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.trackers = {
-            rule.name: SloTracker(rule, clock=clock)
-            for rule in (tuple(rules) if rules is not None else default_slo_rules())
-        }
-        self.alarms: list[BurnAlarm] = []
-
-    def observe_decision(self, wall_ms: float, reason: str | None = None) -> list[BurnAlarm]:
-        """Judge one decision against every rule; returns raised alarms."""
-        raised: list[BurnAlarm] = []
-        with self._lock:
-            for tracker in self.trackers.values():
-                threshold = tracker.rule.threshold_ms
-                bad = wall_ms > threshold if threshold is not None else reason == _REASON_DEGRADED
-                alarm = tracker.observe(bad)
-                if alarm is not None:
-                    raised.append(alarm)
-                    self.alarms.append(alarm)
-        # Registry/audit emission outside the lock, mirroring
-        # DecisionMonitor.consume.
-        for alarm in raised:
-            counter_inc("monitor.slo_alarms", slo=alarm.slo)
-            audit_record("slo-alarm", **alarm.as_dict())
-        return raised
-
-    def active_alarms(self) -> list[dict]:
-        """Currently-firing rules, freshly evaluated against the windows."""
-        with self._lock:
-            return [
-                tracker.snapshot()
-                for tracker in self.trackers.values()
-                if tracker.firing()
-            ]
-
-    def snapshot(self) -> dict:
-        """JSON-able state: every rule's burn view plus the alarm history."""
-        with self._lock:
-            return {
-                "rules": {name: t.snapshot() for name, t in sorted(self.trackers.items())},
-                "active": [t.rule.name for t in self.trackers.values() if t.firing()],
-                "alarms": [alarm.as_dict() for alarm in self.alarms],
-            }
-
-
-_SLO: SloMonitor | None = None
-
-
-def slo_monitor() -> SloMonitor:
-    """The process-global SLO monitor (created on first use)."""
-    global _SLO
-    if _SLO is None:
-        _SLO = SloMonitor()
-    return _SLO
-
-
-def slo_observe_decision(wall_ms: float, reason: str | None = None) -> None:
-    """Feed one serving decision to the global SLO monitor (obs on)."""
-    if not obs_enabled():
-        return
-    slo_monitor().observe_decision(wall_ms, reason=reason)
-
-
-def reset_slo_monitor(rules=None, clock=time.monotonic) -> SloMonitor:
-    """Replace the global SLO monitor (tests / between runs)."""
-    global _SLO
-    _SLO = SloMonitor(rules=rules, clock=clock)
-    return _SLO
-
-
-# --------------------------------------------------------------------------
 # Quality reports
 
 
 def quality_report(name: str, snapshot: dict | None = None) -> dict:
     """The schema-versioned quality document for a monitor snapshot."""
-    from .bench import env_fingerprint
-
     if snapshot is None:
         snapshot = _MONITOR.snapshot()
     return {
@@ -921,29 +702,16 @@ def quality_path(name: str, directory=None) -> Path:
 
 def write_quality_report(name: str, directory=None, snapshot: dict | None = None):
     """Validate and write ``QUALITY_<name>.json``; returns the path."""
-    document = quality_report(name, snapshot)
-    problems = validate(document)
-    if problems:
-        raise ValueError("refusing to write invalid quality report: " + "; ".join(problems))
-    destination = quality_path(name, directory)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    with open(destination, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return destination
+    return write_document(
+        quality_path(name, directory), quality_report(name, snapshot), validate, "quality report"
+    )
 
 
 def validate(document) -> list[str]:
     """Problems that make ``document`` not a valid v1 quality report."""
-    problems: list[str] = []
+    problems = header_problems(document, SCHEMA)
     if not isinstance(document, dict):
-        return ["document is not a JSON object"]
-    if document.get("schema") != SCHEMA:
-        problems.append(f"schema is {document.get('schema')!r}, expected {SCHEMA!r}")
-    if not isinstance(document.get("name"), str) or not document.get("name"):
-        problems.append("name must be a non-empty string")
-    if not isinstance(document.get("created"), (int, float)):
-        problems.append("created must be an epoch timestamp")
+        return problems
     if not isinstance(document.get("decisions"), int) or document.get("decisions", -1) < 0:
         problems.append("decisions must be a non-negative integer")
     for section in ("env", "by_reason", "slices", "drift"):
@@ -1019,99 +787,51 @@ def replay(path, config: MonitorConfig | None = None) -> DecisionMonitor:
     return monitor
 
 
-@dataclass(frozen=True)
-class QualityRow:
-    """One compared quality metric."""
-
-    metric: str
-    baseline: float | None
-    current: float | None
-    regressed: bool
-    note: str = ""
-
-
-@dataclass
-class QualityComparison:
-    """Result of gating a current quality report against a baseline."""
-
-    rows: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        lines = ["metric                        baseline    current     verdict"]
-        for row in self.rows:
-            base = "-" if row.baseline is None else f"{row.baseline:.4f}"
-            cur = "-" if row.current is None else f"{row.current:.4f}"
-            verdict = "FAIL" if row.regressed else "ok"
-            note = f"  ({row.note})" if row.note else ""
-            lines.append(f"{row.metric:<28}  {base:<10}  {cur:<10}  {verdict}{note}")
-        return "\n".join(lines)
-
-
-def _dotted(document: dict, dotted_key: str):
-    value = document
-    for part in dotted_key.split("."):
-        if not isinstance(value, dict):
-            return None
-        value = value.get(part)
-    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
-
-
 _GATED_METRICS = ("overall.far", "overall.frr", "calibration.ece")
 _INFO_METRICS = ("acceptance_rate", "calibration.brier")
 
 
-def compare(baseline: dict, current: dict, max_regress_points: float = 0.0) -> QualityComparison:
-    """Gate FAR/FRR/ECE of ``current`` against ``baseline``.
+def quality_rows(document: dict) -> dict:
+    """A quality report as the gate's ``{name: metric}`` rows.
 
-    The tolerance is in *percentage points* (rates are fractions, so a
-    ``max_regress_points`` of 10 allows current ≤ baseline + 0.10).  A
-    gated metric present in the baseline but missing in the current
-    report fails — silently losing labels must not pass the gate.
+    Overall and per-source FAR/FRR and ``calibration.ece`` are gated,
+    lower is better, where the report holds a number; ``acceptance_rate``
+    and ``calibration.brier`` are info rows, present even without one.
     """
-    comparison = QualityComparison()
-    tolerance = max_regress_points / 100.0
-    # Per-source rates are gated dynamically from whatever sources the
-    # baseline recorded, so a new traffic taxonomy label starts being
-    # gated the moment a baseline containing it is committed.
-    gated = list(_GATED_METRICS) + [
-        f"sources.{label}.{metric}"
-        for label in sorted(baseline.get("sources") or {})
-        for metric in ("far", "frr")
+    sources = [
+        f"sources.{label}.{rate}"
+        for label in sorted(document.get("sources") or {})
+        for rate in ("far", "frr")
     ]
-    for metric in gated:
-        base, cur = _dotted(baseline, metric), _dotted(current, metric)
-        if base is None:
-            comparison.rows.append(QualityRow(metric, base, cur, False, "no baseline"))
-            continue
-        if cur is None:
-            row = QualityRow(metric, base, cur, True, "missing in current report")
-            comparison.rows.append(row)
-            comparison.failures.append(row)
-            continue
-        regressed = cur > base + tolerance
-        row = QualityRow(metric, base, cur, regressed)
-        comparison.rows.append(row)
-        if regressed:
-            comparison.failures.append(row)
-    for metric in _INFO_METRICS:
-        comparison.rows.append(
-            QualityRow(metric, _dotted(baseline, metric), _dotted(current, metric), False, "info")
-        )
-    return comparison
+    rows = {}
+    for name in [*_GATED_METRICS, *sources, *_INFO_METRICS]:
+        value = document
+        for part in name.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            value = None
+        gated = name not in _INFO_METRICS
+        if value is not None or not gated:
+            kind = "ratio" if gated else "info"
+            rows[name] = {"value": value, "kind": kind, "direction": "lower", "gate": gated}
+    return rows
+
+
+def compare(baseline: dict, current: dict, max_regress_points: float = 0.0) -> Comparison:
+    """Gate FAR/FRR/ECE of quality report ``current`` against ``baseline``.
+
+    The bound is absolute, in percentage points (10 allows current ≤
+    baseline + 0.10, every row being lower-is-better), and holds for a
+    zero baseline too.  Per-source rates are gated for each source the
+    baseline recorded, so a new traffic label is gated once a baseline
+    containing it is committed.
+    """
+    slack = tolerance(max_regress_points) / 100.0
+    return compare_rows(quality_rows(baseline), quality_rows(current), lambda base, _: base + slack)
 
 
 # --------------------------------------------------------------------------
 # CLI
-
-
-def _load(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def main(argv=None) -> int:
@@ -1134,9 +854,9 @@ def main(argv=None) -> int:
     compare_cmd.add_argument("current")
     compare_cmd.add_argument(
         "--max-regress",
-        type=float,
+        type=tolerance,
         default=0.0,
-        help="allowed FAR/FRR/ECE regression in percentage points",
+        help="allowed FAR/FRR/ECE regression in percentage points, >= 0",
     )
 
     validate_cmd = commands.add_parser("validate", help="schema-check a quality report")
@@ -1163,33 +883,22 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "compare":
-        try:
-            baseline, current = _load(args.baseline), _load(args.current)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"cannot load reports: {error}")
-            return 2
-        problems = validate(baseline) + validate(current)
+        (baseline, problems), (current, more) = (
+            load_document(path, validate) for path in (args.baseline, args.current)
+        )
+        problems += more
         if problems:
-            print("invalid report(s): " + "; ".join(problems))
+            print("cannot gate: " + "; ".join(problems))
             return 2
         comparison = compare(baseline, current, max_regress_points=args.max_regress)
-        print(comparison.render())
-        if not comparison.ok:
-            print(f"{len(comparison.failures)} quality metric(s) regressed")
-            return 1
-        print("quality within tolerance")
-        return 0
+        print(format_comparison(comparison, f"{args.max_regress:g} points"))
+        return 0 if comparison.passed else 1
 
     if args.command == "validate":
-        try:
-            document = _load(args.report)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"cannot load report: {error}")
-            return 2
-        problems = validate(document)
+        document, problems = load_document(args.report, validate)
         if problems:
             print("\n".join(problems))
-            return 1
+            return 2 if document is None else 1
         print("ok")
         return 0
 

@@ -33,7 +33,6 @@ Like the rest of :mod:`repro.obs`, this module is stdlib-only.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
@@ -118,8 +117,9 @@ class RunManifest:
         created: float | None = None,
         run_id: str | None = None,
     ) -> None:
-        # Imported lazily so ``python -m repro.obs.bench`` keeps a clean
-        # module graph (bench must not be half-imported via the package).
+        # Imports from bench stay function-level so ``python -m
+        # repro.obs.bench`` keeps a clean module graph (bench must not be
+        # half-imported via the package, which imports this module).
         from .bench import env_fingerprint
 
         self.name = name
@@ -170,16 +170,10 @@ class RunManifest:
         stable :func:`manifest_path` under ``directory`` (or the
         default manifest dir) is used and parents are created.
         """
-        destination = Path(path) if path is not None else manifest_path(self.name, directory)
-        document = self.to_dict()
-        problems = validate(document)
-        if problems:
-            raise ValueError("refusing to write invalid manifest: " + "; ".join(problems))
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return destination
+        from .bench import write_document
+
+        destination = path if path is not None else manifest_path(self.name, directory)
+        return write_document(destination, self.to_dict(), validate, "manifest")
 
     @classmethod
     def from_dict(cls, document: dict) -> "RunManifest":
@@ -205,22 +199,25 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        """Read a manifest file back (round-trips :meth:`write` exactly)."""
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Read a manifest file back (round-trips :meth:`write` exactly).
+
+        An unreadable, unparsable or invalid file raises ``ValueError``.
+        """
+        from .bench import load_document
+
+        document, problems = load_document(path, validate)
+        if problems:
+            raise ValueError("invalid manifest: " + "; ".join(problems))
+        return cls.from_dict(document)
 
 
 def validate(document) -> list[str]:
     """Problems that make ``document`` not a valid v1 run manifest."""
-    problems: list[str] = []
+    from .bench import header_problems
+
+    problems = header_problems(document, SCHEMA)
     if not isinstance(document, dict):
-        return ["document is not a JSON object"]
-    if document.get("schema") != SCHEMA:
-        problems.append(f"schema is {document.get('schema')!r}, expected {SCHEMA!r}")
-    if not isinstance(document.get("name"), str) or not document.get("name"):
-        problems.append("name must be a non-empty string")
-    if not isinstance(document.get("created"), (int, float)):
-        problems.append("created must be an epoch timestamp")
+        return problems
     if document.get("seed") is not None and not isinstance(document["seed"], int):
         problems.append("seed must be an integer or null")
     if document.get("git_sha") is not None and not isinstance(document["git_sha"], str):

@@ -35,7 +35,7 @@ from ..core.pipeline import HeadTalkPipeline
 from ..core.streaming import StreamingDecider, StreamingResult
 from ..obs import audit_record, counter_inc, histogram_observe, windowed_inc
 from ..obs.correlate import correlated
-from ..obs.monitor import slo_observe_decision
+from ..obs.slo import slo_observe_decision
 from .config import ServingConfig
 from .ring import RingBuffer
 

@@ -23,7 +23,8 @@ from repro.obs import (
 )
 from repro.obs.audit import DEFAULT_CAPACITY
 from repro.obs.correlate import set_correlation
-from repro.obs.monitor import reset_monitor, reset_slo_monitor
+from repro.obs.monitor import reset_monitor
+from repro.obs.slo import reset_slo_monitor
 
 
 def _reset_obs_state():

@@ -168,6 +168,13 @@ class TestCli:
         assert bench.main(["--compare", base, bad]) == 1
         assert "schema" in capsys.readouterr().err
 
+    def test_negative_max_regress_is_usage_error(self, tmp_path, capsys):
+        base = self._write(tmp_path / "base.json", _report())
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main(["--compare", base, base, "--max-regress", "-5"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_unreadable_file_exits_one(self, tmp_path, capsys):
         base = self._write(tmp_path / "base.json", _report())
         assert bench.main(["--compare", base, str(tmp_path / "missing.json")]) == 1

@@ -17,7 +17,7 @@ from repro.obs import control as obs_control
 from repro.obs import live as obs_live
 from repro.obs.live import DEFAULT_LIVE_PORT, LiveConfig, render_dashboard
 from repro.obs import monitor
-from repro.obs.monitor import SloRule, reset_slo_monitor, slo_monitor
+from repro.obs.slo import SloRule, reset_slo_monitor, slo_monitor
 from repro.serving import ServingConfig, ServingGateway
 from repro.serving.replay import close_session, open_session, stream_utterance
 
@@ -219,6 +219,11 @@ class TestLiveConfig:
     def test_out_of_range_port_rejected(self, port):
         with pytest.raises(ValueError, match="port"):
             LiveConfig(port=port)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_probe_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="probe_interval_s"):
+            LiveConfig(probe_interval_s=interval)
 
     def test_out_of_range_env_port_warns_once_and_keeps_default(self, monkeypatch):
         monkeypatch.setattr(obs_control, "_WARNED", set())

@@ -21,6 +21,7 @@ from repro.ml.calibration import brier_score, expected_calibration_error
 from repro.ml.metrics import false_acceptance_rate, false_rejection_rate
 from repro.obs import REGISTRY, audit_log, configure_audit, set_obs_enabled
 from repro.obs import control as obs_control
+from repro.obs.bench import format_comparison
 from repro.obs.monitor import (
     DecisionMonitor,
     MonitorConfig,
@@ -452,6 +453,11 @@ class TestReports:
         assert any(p == "sources must be an object" for p in validate(document))
 
 
+def _failed(comparison):
+    """Metric names of the rows that failed the gate."""
+    return [row["metric"] for row in comparison.rows if row["status"] in ("FAIL", "missing")]
+
+
 class TestCompare:
     def _report(self, far=0.1, frr=0.2, ece=0.05):
         snapshot = DecisionMonitor(config=MonitorConfig()).snapshot()
@@ -461,27 +467,27 @@ class TestCompare:
 
     def test_identical_reports_pass(self):
         report = self._report()
-        assert compare(report, report).ok
+        assert compare(report, report).passed
 
     def test_regression_beyond_tolerance_fails(self):
         comparison = compare(self._report(far=0.1), self._report(far=0.25), 10.0)
-        assert not comparison.ok
-        assert [row.metric for row in comparison.failures] == ["overall.far"]
-        assert "FAIL" in comparison.render()
+        assert not comparison.passed
+        assert _failed(comparison) == ["overall.far"]
+        assert "FAIL" in format_comparison(comparison, "10 points")
 
     def test_regression_within_tolerance_passes(self):
-        assert compare(self._report(far=0.1), self._report(far=0.15), 10.0).ok
+        assert compare(self._report(far=0.1), self._report(far=0.15), 10.0).passed
 
     def test_missing_gated_metric_fails(self):
         current = self._report()
         current["calibration"] = None
         comparison = compare(self._report(), current)
-        assert [row.metric for row in comparison.failures] == ["calibration.ece"]
+        assert _failed(comparison) == ["calibration.ece"]
 
     def test_missing_baseline_metric_is_informational(self):
         baseline = self._report()
         baseline["overall"] = None
-        assert compare(baseline, self._report()).ok
+        assert compare(baseline, self._report()).passed
 
     def _with_sources(self, loudspeaker_far=0.0):
         report = self._report()
@@ -494,25 +500,23 @@ class TestCompare:
     def test_baseline_sources_are_gated_dynamically(self):
         baseline = self._with_sources(loudspeaker_far=0.05)
         comparison = compare(baseline, self._with_sources(loudspeaker_far=0.30), 10.0)
-        assert [row.metric for row in comparison.failures] == [
-            "sources.loudspeaker.far"
-        ]
-        gated = {row.metric for row in comparison.rows}
+        assert _failed(comparison) == ["sources.loudspeaker.far"]
+        gated = {row["metric"] for row in comparison.rows}
         assert "sources.live-facing.frr" in gated
 
     def test_source_missing_from_current_report_fails(self):
         current = self._with_sources()
         current["sources"] = {"live-facing": current["sources"]["live-facing"]}
         comparison = compare(self._with_sources(), current)
-        assert not comparison.ok
-        assert {row.metric for row in comparison.failures} == {
+        assert not comparison.passed
+        assert set(_failed(comparison)) == {
             "sources.loudspeaker.far",
             "sources.loudspeaker.frr",
         }
 
     def test_sources_absent_from_baseline_are_not_gated(self):
         # An old baseline (no sources section) must keep gating cleanly.
-        assert compare(self._report(), self._with_sources()).ok
+        assert compare(self._report(), self._with_sources()).passed
 
 
 class TestCli:
@@ -557,6 +561,16 @@ class TestCli:
         bad.write_text(json.dumps(regressed))
         assert monitor_main(["compare", str(base), str(bad), "--max-regress", "10"]) == 1
         assert monitor_main(["compare", str(base), str(tmp_path / "missing.json")]) == 2
+
+    def test_negative_max_regress_is_usage_error(self, tmp_path, capsys):
+        audit = self._audit_file(tmp_path)
+        monitor_main(["replay", str(audit), "--name", "base", "--out", str(tmp_path)])
+        base = str(tmp_path / "QUALITY_base.json")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            monitor_main(["compare", base, base, "--max-regress", "-5"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_validate_command(self, tmp_path):
         audit = self._audit_file(tmp_path)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs import REGISTRY, audit_log, set_obs_enabled
 from repro.obs import control as obs_control
-from repro.obs.monitor import (
+from repro.obs.slo import (
     DEFAULT_SLO_LATENCY_MS,
     SloMonitor,
     SloRule,

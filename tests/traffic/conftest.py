@@ -8,7 +8,8 @@ turns it on, and the enabled flag it found is restored afterwards.
 import pytest
 
 from repro.obs import REGISTRY, audit_log, observed, set_obs_enabled
-from repro.obs.monitor import reset_monitor, reset_slo_monitor
+from repro.obs.monitor import reset_monitor
+from repro.obs.slo import reset_slo_monitor
 
 
 def _reset_obs_state():

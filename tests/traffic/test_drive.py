@@ -71,8 +71,8 @@ class TestRunCity:
         # Comparing a report against itself passes the gate, including
         # the dynamically added per-source metrics.
         comparison = obs_monitor.compare(document, document)
-        assert comparison.ok
-        gated = {row.metric for row in comparison.rows}
+        assert comparison.passed
+        gated = {row["metric"] for row in comparison.rows}
         for label in document["sources"]:
             assert f"sources.{label}.far" in gated
             assert f"sources.{label}.frr" in gated
