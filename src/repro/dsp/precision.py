@@ -4,14 +4,17 @@ The paper's orientation gate must decide before the assistant acts on a
 wake word, so the DSP hot path — GCC-PHAT, SRP-PHAT, the spectral
 directivity features — is dtype-configurable:
 
-- **float64** (the default) reproduces the repo's historical outputs
-  bit for bit: every ``Decision.fingerprint`` and every cached render
-  stays byte-identical to the seed, which is what the repro tests pin.
+- **float64** (the default): every ``Decision.fingerprint`` is
+  byte-identical whichever path made it (``evaluate``,
+  ``evaluate_batch`` on any number of threads, the streaming
+  ``finish()``) and from run to run, which is what the equivalence
+  tests pin.  The bits follow the kernels, so no test pins historical
+  values.
 - **float32** halves the memory traffic of the correlation FFTs and
   runs them through :mod:`scipy.fft`'s true single-precision
-  transforms, roughly doubling decision throughput on FFT-bound
-  hardware.  Verdicts are identical and feature vectors agree within
-  the tolerance pinned by ``tests/core/test_precision.py``.
+  transforms; ``docs/PERFORMANCE.md`` records the measured gain.
+  Verdicts are identical and feature vectors agree within the
+  tolerance pinned by ``tests/core/test_precision_parity.py``.
 
 Select per process with ``REPRO_DTYPE=float32`` (malformed values warn
 once and keep the default — a typo must not silently change numerics),
@@ -108,11 +111,12 @@ def resolve_dtype(dtype=None) -> np.dtype:
 def fft_api(dtype):
     """The FFT module to use for signals of ``dtype``.
 
-    float64 keeps ``numpy.fft`` — the seed's transform, so default-path
-    outputs stay byte-identical.  float32 uses ``scipy.fft``, whose
-    pocketfft backend runs genuine single-precision transforms (numpy's
-    wrapper preserves the dtype but not the speed); when scipy is
-    unavailable the numpy fallback is still dtype-correct, just slower.
+    float64 keeps ``numpy.fft``, the one transform every float64 path
+    runs, so default-path outputs are byte-identical across paths.
+    float32 uses ``scipy.fft``, whose pocketfft backend runs genuine
+    single-precision transforms (numpy's wrapper preserves the dtype
+    but not the speed); when scipy is unavailable the numpy fallback is
+    still dtype-correct, just slower.
     """
     if np.dtype(dtype) == DTYPES["float32"] and _scipy_fft is not None:
         return _scipy_fft

@@ -70,7 +70,7 @@ class GccAccumulator:
         self.hop_length = int(hop_length)
         self.dtype = resolve_dtype(dtype)
         self.n_frames = 0
-        self._n_fft = _fft_length(2 * self.frame_length, self.max_lag)
+        self._n_fft = _fft_length(self.frame_length, self.max_lag)
         self._cross_sum = np.zeros(
             (len(self.pairs), self._n_fft // 2 + 1),
             dtype=np.result_type(self.dtype, np.complex64),

@@ -16,6 +16,7 @@ from repro.dsp import (
     pairwise_gcc_framewise,
     precision,
 )
+from repro.dsp.gcc import _fft_length
 
 
 def delayed_pair(delay: int, n: int = 4096, seed: int = 0):
@@ -110,6 +111,36 @@ class TestPairwiseGcc:
             pairwise_gcc(np.zeros((2, 10)), [], 4)
 
 
+class TestFftLength:
+    """The transform is sized to the lag window it reads, not to 2 n."""
+
+    @pytest.mark.parametrize(
+        "n, max_lag, n_fft",
+        [
+            (25_920, 13, 32_768),  # a soak capture
+            (2_048, 13, 4_096),  # the streaming decider's frame
+            (16_380, 4, 16_384),  # n + max_lag = 16,384 fits
+            (16_380, 5, 32_768),  # n + max_lag = 16,385 crosses it
+            (30, 40, 128),  # a wide window over a short signal
+        ],
+    )
+    def test_sizing_rule(self, n, max_lag, n_fft):
+        assert _fft_length(n, max_lag) == n_fft
+
+    @pytest.mark.parametrize("n, max_lag", [(25_920, 13), (2_048, 13), (16_380, 5), (100, 40)])
+    @pytest.mark.parametrize("late", ["a", "b"])
+    def test_delay_outside_window_does_not_wrap_in(self, n, max_lag, late):
+        """Unit impulses ``n - 1`` samples apart correlate only at lag
+        ``±(n - 1)``, outside the window; an undersized transform would
+        fold that peak back into it."""
+        first, last = np.zeros(n), np.zeros(n)
+        first[0], last[-1] = 1.0, 1.0
+        a, b = (last, first) if late == "a" else (first, last)
+        assert np.max(np.abs(gcc_phat(a, b, max_lag))) < 1e-9
+        window = pairwise_gcc(np.stack([a, b]), [(0, 1)], max_lag)
+        assert np.max(np.abs(window)) < 1e-9
+
+
 class TestWideWindowRegression:
     """The FFT must be sized so the requested lag window always fits.
 
@@ -190,7 +221,7 @@ class TestPairwiseGccBatch:
         rng = np.random.default_rng(2)
         cases = [
             (3, (1024, 1024, 900), 9),
-            # Rows of 4,097-8,193 bins: too short for numpy to elide the
+            # Rows of 2,049-8,193 bins: too short for numpy to elide the
             # conj temporary, while a stacked product over 6 pairs is long
             # enough to (see the repro.dsp.gcc module docstring).
             (4, (2049, 4500, 8192), 13),
