@@ -2,14 +2,14 @@
 
 :class:`StreamingDecider` is :meth:`HeadTalkPipeline.evaluate` unrolled
 over a live PCM stream.  Audio arrives chunk by chunk; every chunk is
-health-screened and appended to the caller's sample store (the serving
-session's :class:`~repro.serving.ring.RingBuffer`), and the newly
-complete frames of that stored stream are folded into the accumulated
-per-frame GCC evidence (:class:`repro.dsp.streaming.GccAccumulator`,
-over the pairs and lag window of the pipeline's orientation
-extractor).  The store holds the
-utterance's one copy of its samples: the accumulator, the early checks
-and the final decision all read it.
+appended to the caller's sample store (the serving session's
+:class:`~repro.serving.ring.RingBuffer`), and each newly complete frame
+of that stored stream is health-screened and folded into the
+accumulated per-frame GCC evidence
+(:class:`repro.dsp.streaming.GccAccumulator`, over the pairs and lag
+window of the pipeline's orientation extractor).  The store holds the
+utterance's one copy of its samples: screening, the accumulator, the
+early checks and the final decision all read it.
 Once enough frames have arrived, the decider re-runs the real pipeline
 stages on the buffered *prefix* — the same preprocessing, liveness
 model and orientation extractor the batch path uses, just on a shorter
@@ -17,16 +17,25 @@ utterance — and emits an early verdict as soon as the evidence crosses
 the decision threshold with margin, before end of utterance.
 
 Each check waits for the prefix to grow by half since the last one
-(frames 4, 6, 10, 16, 24, 36, 54, …), so the checked prefixes sum to
-at most three times the streamed frames and the cost of a streamed
-utterance stays linear in its length.  The accumulator is fed only
-while a check can still fire: after an early verdict, once a channel
-is voted out, or once the stream fails closed, it stops, and the
-decider counts frames from the samples it has seen.  A stream longer
-than the store's capacity keeps only its head, so the stability gate,
-the checks and the decision all judge that same head.  The policy (frame
-geometry, check schedule, margins, hysteresis) is the module constants
-below, one value each.
+(frames 4, 6, 10, 16, 24, 36, 54, …), so the scored prefixes sum to at
+most three times the streamed frames and the cost of a streamed
+utterance stays linear in its length.  A check is taken on schedule,
+but its prefix is scored only when a verdict can read the result.  With
+:data:`CONSECUTIVE` = 2 a check can reject only after the check before
+it struck, so the first check is scored when it is taken, a later one
+only if the latest earlier effect on a strike count is a strike, and a
+check that waits is scored when the next check's test reads its effect,
+or dropped by ``finish()``: the last check of an utterance that never
+strikes twice is never scored.  The strike rule sees the same outcomes
+in the same order as scoring every check would, because the store
+returns a waiting prefix's bytes unchanged.  The accumulator is fed
+only while a check can still fire: after an early verdict, once a
+channel is voted out, or once the stream fails closed, it stops, and
+the decider counts frames from the samples it has seen.  A stream
+longer than the store's capacity keeps only its head, so screening,
+the stability gate, the checks and the decision all judge that same
+head.  The policy (frame geometry, check schedule, margins,
+hysteresis) is the module constants below, one value each.
 
 Two invariants keep early exit sound:
 
@@ -46,9 +55,10 @@ and only while the accumulated SRP peak lag is stable between checks
 (orientation evidence still moving means the frame sum has not settled
 — don't trust a prefix score built on it).
 
-Mid-stream channel death degrades instead of crashing: per-chunk
-screening votes channels out after repeated failures; if fewer than two
-healthy channels remain the session fails closed
+Mid-stream channel death degrades instead of crashing: screening each
+frame votes channels out after repeated failures, so how a client
+chunks its audio cannot change the verdict; if fewer than two healthy
+channels remain the session fails closed
 (:data:`REJECT_DEGRADED_INPUT`) — the fail-closed verdict takes
 precedence over the full-capture decision, matching the fault ladder's
 rule that screening evidence may only ever remove permission.
@@ -58,6 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,11 +114,25 @@ LIVENESS_MARGIN = 0.25
 """The same safety band under ``liveness_threshold`` for early
 liveness rejection."""
 
-MIN_SCREEN_SAMPLES = 512
-"""Chunks shorter than this skip per-chunk health screening (too noisy)."""
-
 UNHEALTHY_VOTES = 3
-"""Chunks that must independently flag a channel before it is voted out."""
+"""Frames that must independently flag a channel before it is voted out."""
+
+
+class _Effect(NamedTuple):
+    """A scored check's effect on each strike count.
+
+    ``True`` is a strike, ``False`` a pass that resets the count, and
+    ``None`` leaves it as it was (no speech, a feature error, or the
+    facing count after a liveness strike).  ``score`` is the score a
+    strike fires with.
+    """
+
+    liveness: bool | None
+    facing: bool | None
+    score: float = 0.0
+
+
+_NO_EFFECT = _Effect(None, None)
 
 
 @dataclass(frozen=True)
@@ -172,8 +197,9 @@ class StreamingDecider:
     buffer:
         The utterance's sample store, empty at the start: a
         :class:`~repro.serving.ring.RingBuffer` (``append``, ``prefix``,
-        ``snapshot``, ``dropped``).  Each chunk is appended to it; the
-        accumulator, the early checks and ``finish()`` read it back.
+        ``snapshot``, ``dropped``).  Each chunk is appended to it;
+        screening, the accumulator, the early checks and ``finish()``
+        read it back.
     check_liveness:
         Forwarded to the final ``evaluate`` and mirrored by the early
         checks (liveness strikes are skipped when off).
@@ -211,11 +237,12 @@ class StreamingDecider:
         self.early: EarlyVerdict | None = None
         self.checks = 0
         self.samples_seen = 0
+        self._screened_frames = 0
         self._votes = np.zeros(n_mics, dtype=int)
         self._dead: tuple[int, ...] = ()
         self._fail_closed_detail = ""
-        self._liveness_strikes = 0
-        self._facing_strikes = 0
+        self._effects: list[_Effect] = []
+        self._waiting: int | None = None
         self._last_srp_lag: int | None = None
         self._next_check_frame = max(MIN_FRAMES, CHECK_EVERY)
         self._started = time.perf_counter()
@@ -261,7 +288,7 @@ class StreamingDecider:
             return None
         self.samples_seen += x.shape[1]
         self.buffer.append(x)
-        self._screen_chunk(x)
+        self._screen_frames()
         if self.early is not None:
             return None
         if self.fail_closed:
@@ -285,10 +312,12 @@ class StreamingDecider:
         """Close the utterance: full-capture decision plus stream stats.
 
         Idempotent; the first call evaluates, later calls return the
-        same result.  The full-capture decision is byte-identical to
-        ``pipeline.evaluate`` on the reassembled buffer — unless the
-        stream failed closed mid-way, in which case the fail-closed
-        rejection takes precedence.  ``truth`` and ``slices`` (known
+        same result.  A check still waiting for its score is dropped:
+        no verdict reads it.  The full-capture decision is
+        byte-identical to ``pipeline.evaluate`` on the reassembled
+        buffer — unless the stream failed closed mid-way, in which case
+        the fail-closed rejection takes precedence.  ``truth`` and
+        ``slices`` (known
         only in simulations and dataset replays) label the decision
         for the quality monitor, as in ``pipeline.evaluate``.
         """
@@ -360,32 +389,47 @@ class StreamingDecider:
         counter_inc("streaming.early_exits", reason=reason)
         return self.early
 
-    def _screen_chunk(self, x: np.ndarray) -> None:
-        """Vote-based mid-stream channel-death tracking.
+    def _screen_frames(self) -> None:
+        """Vote-based mid-stream channel-death tracking, one vote per frame.
 
-        A single noisy chunk must not kill a channel: each chunk's
-        screening only *votes*, and a channel is excluded after
-        :data:`UNHEALTHY_VOTES` strikes.  Fewer than two surviving
-        channels fails the stream closed.
+        A single noisy frame must not kill a channel: each newly complete
+        frame of the stored stream (the frames the accumulator reads) is
+        screened on its own and only *votes*, and a channel is excluded
+        after :data:`UNHEALTHY_VOTES` strikes.  Screening frames rather
+        than client chunks keeps the votes independent of how the client
+        frames its audio.  Fewer than two surviving channels fails the
+        stream closed.
         """
-        if x.shape[1] < MIN_SCREEN_SAMPLES or self.fail_closed:
-            return
-        health = screen_channels(x)
-        if health.unhealthy:
-            self._votes[list(health.unhealthy)] += 1
-        dead = tuple(int(k) for k in np.nonzero(self._votes >= UNHEALTHY_VOTES)[0])
-        if dead and dead != self._dead:
-            self._dead = dead
-            counter_inc("streaming.channels_voted_out", n=len(dead))
-        if len(self._votes) - len(dead) < 2 and not self._fail_closed_detail:
-            self._fail_closed_detail = "mid-stream-channel-death:dead=" + ",".join(
-                str(k) for k in dead
-            )
+        stream = self.buffer.prefix(self.samples_seen)
+        while not self.fail_closed:
+            start = self._screened_frames * HOP_LENGTH
+            if stream.shape[1] < start + FRAME_LENGTH:
+                return
+            health = screen_channels(stream[:, start : start + FRAME_LENGTH])
+            self._screened_frames += 1
+            if health.unhealthy:
+                self._votes[list(health.unhealthy)] += 1
+            dead = tuple(int(k) for k in np.nonzero(self._votes >= UNHEALTHY_VOTES)[0])
+            if dead and dead != self._dead:
+                self._dead = dead
+                counter_inc("streaming.channels_voted_out", n=len(dead))
+            if len(self._votes) - len(dead) < 2:
+                self._fail_closed_detail = "mid-stream-channel-death:dead=" + ",".join(
+                    str(k) for k in dead
+                )
 
     def _early_check(self, n_frames: int) -> EarlyVerdict | None:
-        """One prefix evaluation against the thresholds-with-margin."""
+        """Take the check due at ``n_frames``; score it if a verdict can read it.
+
+        A check that passes the stability gate is recorded by its frame.
+        The first is scored at once; a later one only if the latest
+        effects on a strike count are strikes, so that a strike now
+        fires (:meth:`_struck`).  Otherwise it waits, and is scored when
+        the next check's test reads its effect, or dropped by
+        ``finish()``.
+        """
         # The next check waits until the prefix has grown by half, rounded
-        # up to whole ``CHECK_EVERY`` steps: the checked prefixes then sum
+        # up to whole ``CHECK_EVERY`` steps: the scored prefixes then sum
         # to at most three times the frames streamed, not to their square.
         step = CHECK_EVERY
         self._next_check_frame = n_frames + step * -(-n_frames // (2 * step))
@@ -400,52 +444,71 @@ class StreamingDecider:
         self._last_srp_lag = lag
         if not stable and self.checks > 1:
             return None
-
-        prefix_samples = n_frames * HOP_LENGTH
-        if prefix_samples < self.pipeline.extractor.min_samples:
+        if n_frames * HOP_LENGTH < self.pipeline.extractor.min_samples:
             return None
+
+        if self._waiting is not None:
+            # The strike test below reads the latest effect on each count.
+            self._effects.append(self._score(self._waiting))
+            self._waiting = None
+        liveness_struck, facing_struck = self._struck("liveness"), self._struck("facing")
+        if self._effects and not (liveness_struck or facing_struck):
+            # Past the first check, one with no strike to follow cannot
+            # fire: it waits.
+            self._waiting = n_frames
+            return None
+        effect = self._score(n_frames)
+        self._effects.append(effect)
+        if effect.liveness and liveness_struck:
+            return self._fire(REJECT_MECHANICAL, score=effect.score)
+        if effect.facing and facing_struck:
+            return self._fire(REJECT_NON_FACING, score=effect.score)
+        return None
+
+    def _struck(self, count: str) -> bool:
+        """Whether the latest ``CONSECUTIVE - 1`` effects on ``count`` are strikes."""
+        effects = [e for e in (getattr(effect, count) for effect in self._effects) if e is not None]
+        need = CONSECUTIVE - 1
+        return len(effects) >= need and all(effects[len(effects) - need :])
+
+    def _score(self, n_frames: int) -> _Effect:
+        """Score the prefix of the check at ``n_frames`` against the thresholds-with-margin."""
         prefix = Capture(
-            channels=self.buffer.prefix(prefix_samples),
+            channels=self.buffer.prefix(n_frames * HOP_LENGTH),
             sample_rate=self.pipeline.array.sample_rate,
         )
         with span("streaming.early_check", frame=n_frames):
             try:
                 audio = preprocess(prefix)
             except _FEATURE_ERRORS:
-                return None
+                return _NO_EFFECT
             if not audio.had_speech:
-                return None
+                return _NO_EFFECT
             config = self.pipeline.config
 
             # One GCC matrix per prefix, computed by the first check that
             # reads it and shared with the other (as in the pipeline core).
             gcc = None
+            liveness = None
             if self.check_liveness:
                 try:
                     if self.pipeline._liveness_reads_gcc:
                         gcc = self.pipeline.extractor.correlate(audio)
                     score = self.pipeline._liveness_score(audio, gcc)
                 except _FEATURE_ERRORS:
-                    return None
+                    return _NO_EFFECT
                 if np.isfinite(score) and score < config.liveness_threshold - LIVENESS_MARGIN:
-                    self._liveness_strikes += 1
-                    if self._liveness_strikes >= CONSECUTIVE:
-                        return self._fire(REJECT_MECHANICAL, score=score)
                     # Mirror the batch stage order: a liveness strike
                     # short-circuits the orientation check this round.
-                    return None
-                self._liveness_strikes = 0
+                    return _Effect(True, None, score)
+                liveness = False
 
             try:
                 if gcc is None:
                     gcc = self.pipeline.extractor.correlate(audio)
                 probability = self.pipeline._orientation_probability(audio, gcc)
             except _FEATURE_ERRORS:
-                return None
-            if probability < config.facing_threshold - FACING_MARGIN:
-                self._facing_strikes += 1
-                if self._facing_strikes >= CONSECUTIVE:
-                    return self._fire(REJECT_NON_FACING, score=probability)
-            else:
-                self._facing_strikes = 0
-        return None
+                return _Effect(liveness, None)
+            return _Effect(
+                liveness, bool(probability < config.facing_threshold - FACING_MARGIN), probability
+            )
