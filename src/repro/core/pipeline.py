@@ -10,27 +10,36 @@ detector and the orientation detector into a single
 4. reject ("non-facing") if the facing probability is below threshold;
 5. otherwise accept — only then would audio go to the cloud.
 
-``evaluate`` is a batch of one: both it and ``evaluate_batch`` run one
-staged core, so a capture's decision is byte-identical whichever entry
-point, and whatever batch, it went through.  Each scored utterance is
-correlated once (its pairwise GCC-PHAT matrix, Eq. 5-6), and that matrix
-feeds both the fused detector's array cues and the orientation
-features.  Within a stage the per-capture work fans out over one thread
-per usable CPU (:func:`repro.runtime.fanout.fan_out`); the calling
-thread folds the results back in capture order.
+One stage function judges one capture (``HeadTalkPipeline._judge``):
+``evaluate`` calls it, ``evaluate_batch`` maps it over its captures on
+one thread per usable CPU (:func:`repro.runtime.fanout.fan_out`), and
+the streaming decider's early checks call it on a stream's prefix with
+lowered thresholds.  A capture's decision is therefore byte-identical
+whichever entry point, and whatever batch, it went through.  Each scored
+utterance is correlated once (its pairwise GCC-PHAT matrix, Eq. 5-6),
+and that matrix feeds both the fused detector's array cues and the
+orientation features.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from ..acoustics.propagation import Capture
 from ..arrays.geometry import MicArray
 from ..obs import audit_record, counter_inc, histogram_observe, obs_enabled
+from ..obs.audit import (
+    ACCEPT,
+    REJECT_DEGRADED_INPUT,
+    REJECT_MECHANICAL,
+    REJECT_NO_SPEECH,
+    REJECT_NON_FACING,
+)
 from ..obs.profile import profiled
 from ..obs.spans import span
 from ..runtime.fanout import fan_out
@@ -38,13 +47,7 @@ from .config import HeadTalkConfig
 from .features import OrientationFeatureExtractor
 from .liveness import LivenessDetector
 from .orientation import OrientationDetector
-from .preprocessing import ChannelHealth, DenoisedAudio, preprocess
-
-REJECT_NO_SPEECH = "no-speech"
-REJECT_MECHANICAL = "mechanical-source"
-REJECT_NON_FACING = "non-facing"
-REJECT_DEGRADED_INPUT = "degraded-input"
-ACCEPT = "accepted"
+from .preprocessing import ChannelHealth, preprocess
 
 # Exceptions the degraded-input guard may convert into a fail-closed
 # decision.  Anything else (untrained models, programming errors) still
@@ -62,6 +65,10 @@ def _describe_health(health: ChannelHealth) -> str:
     if health.non_finite:
         parts.append("non-finite=" + ",".join(str(k) for k in health.non_finite))
     return ";".join(parts)
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
 
 
 def capture_key(capture: Capture) -> str:
@@ -129,31 +136,16 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class BatchStageTimings:
-    """Wall-clock per pipeline stage for one ``evaluate_batch`` call."""
+class BatchEvaluation:
+    """Decisions plus the wall clock of one ``evaluate_batch`` call."""
 
-    n_captures: int
-    preprocess_ms: float
-    liveness_ms: float
-    orientation_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        """Whole-batch latency across all stages."""
-        return self.preprocess_ms + self.liveness_ms + self.orientation_ms
+    decisions: list[Decision]
+    total_ms: float
 
     @property
     def per_capture_ms(self) -> float:
-        """Mean end-to-end latency per capture."""
-        return self.total_ms / self.n_captures if self.n_captures else 0.0
-
-
-@dataclass(frozen=True)
-class BatchEvaluation:
-    """Decisions plus stage timings for one batch."""
-
-    decisions: list[Decision]
-    timings: BatchStageTimings
+        """The call's wall clock divided by its captures."""
+        return self.total_ms / len(self.decisions)
 
     def __iter__(self):
         return iter(self.decisions)
@@ -215,38 +207,6 @@ class HeadTalkPipeline:
             detail=detail,
         )
 
-    @property
-    def _liveness_reads_gcc(self) -> bool:
-        """Whether liveness scoring takes the array cues, and so the GCC matrix."""
-        return hasattr(self.liveness, "fused_scores")
-
-    def _liveness_score(self, audio: DenoisedAudio, gcc: np.ndarray | None) -> float:
-        # A fused detector gets the full multi-channel audio and its GCC
-        # matrix so the array-side cues (TDoA coherence, directivity
-        # consistency) join the blend; the plain detector sees the
-        # reference channel only.
-        if self._liveness_reads_gcc:
-            return float(self.liveness.fused_scores([audio], self.extractor, [gcc])[0])
-        return float(self.liveness.scores([audio.reference], audio.sample_rate)[0])
-
-    def _orientation_probability(
-        self, audio: DenoisedAudio, gcc: np.ndarray, healthy: tuple[int, ...] | None = None
-    ) -> float:
-        """Facing probability from the utterance's GCC matrix.
-
-        ``healthy`` selects the masked (surviving-pair) features.  NaN/Inf
-        escaping the extractor must never reach the SVM: it raises, and
-        :data:`_FEATURE_ERRORS` maps it to a :data:`REJECT_DEGRADED_INPUT`
-        decision at the pipeline boundary.
-        """
-        if healthy is None:
-            features = self.extractor.extract(audio, gcc)
-        else:
-            features = self.extractor.extract_masked(audio, healthy, gcc)
-        if not np.all(np.isfinite(features)):
-            raise ValueError("non-finite-features")
-        return float(self.orientation.facing_probability(features.reshape(1, -1))[0])
-
     def _observe_decision(
         self,
         call: str,
@@ -271,11 +231,10 @@ class HeadTalkPipeline:
         if decision.reason == REJECT_DEGRADED_INPUT:
             cause = decision.detail.split(":", 1)[0].split(";", 1)[0] or "unknown"
             counter_inc("faults.fail_closed", cause=cause)
-        if call == "evaluate":
-            histogram_observe("pipeline.stage_ms", decision.preprocess_ms, stage="preprocess")
-            histogram_observe("pipeline.stage_ms", decision.liveness_ms, stage="liveness")
-            histogram_observe("pipeline.stage_ms", decision.orientation_ms, stage="orientation")
-            histogram_observe("pipeline.total_ms", decision.total_ms)
+        histogram_observe("pipeline.stage_ms", decision.preprocess_ms, stage="preprocess")
+        histogram_observe("pipeline.stage_ms", decision.liveness_ms, stage="liveness")
+        histogram_observe("pipeline.stage_ms", decision.orientation_ms, stage="orientation")
+        histogram_observe("pipeline.total_ms", decision.total_ms)
         record = {
             "call": call,
             "capture_key": capture_key(capture),
@@ -344,7 +303,7 @@ class HeadTalkPipeline:
         to the same record.  Neither changes the decision.
         """
         with span("pipeline.evaluate"):
-            decision = self._decide([capture], check_liveness).decisions[0]
+            decision = self._judge(capture, check_liveness)
         if obs_enabled():
             self._observe_decision(
                 call, capture, decision, truth=truth, slices=slices, extra=extra
@@ -359,16 +318,16 @@ class HeadTalkPipeline:
         truths: list | None = None,
         slices: list | None = None,
     ) -> BatchEvaluation:
-        """Run the gate over many captures, timing each stage per batch.
+        """Run the gate over many captures, timing the whole call.
 
         Scores and decisions are byte-identical to calling
-        :meth:`evaluate` per capture (the same core runs both, and the
-        per-model calls are kept per-row precisely so no batched matmul
-        can perturb a single float).  Each stage's per-capture work runs
-        on a thread pool made for this call, one worker per usable CPU
-        (:func:`repro.runtime.fanout.fan_out`); no thread outlives the
-        call.  Timings are whole-batch wall clock per stage; each
-        returned ``Decision`` carries its stage's per-capture share.
+        :meth:`evaluate` per capture: each capture is judged by the same
+        stage function, and the per-model calls are kept per-row
+        precisely so no batched matmul can perturb a single float.  The
+        captures are judged on one thread pool made for this call, one
+        worker per usable CPU (:func:`repro.runtime.fanout.fan_out`); no
+        thread outlives the call.  ``total_ms`` is the call's wall
+        clock; each returned ``Decision`` carries its own stage times.
 
         ``truths`` / ``slices`` optionally carry one ground-truth label /
         slice-label dict per capture (``None`` entries allowed) for the
@@ -384,13 +343,11 @@ class HeadTalkPipeline:
         with profiled("pipeline.evaluate_batch"), span(
             "pipeline.evaluate_batch", n=len(captures)
         ):
-            evaluation = self._decide(captures, check_liveness)
+            start = time.perf_counter()
+            decisions = fan_out(partial(self._judge, check_liveness=check_liveness), captures)
+            evaluation = BatchEvaluation(decisions, _ms_since(start))
         if obs_enabled():
-            timings = evaluation.timings
-            histogram_observe("pipeline.batch_stage_ms", timings.preprocess_ms, stage="preprocess")
-            histogram_observe("pipeline.batch_stage_ms", timings.liveness_ms, stage="liveness")
-            histogram_observe("pipeline.batch_stage_ms", timings.orientation_ms, stage="orientation")
-            histogram_observe("pipeline.batch_per_capture_ms", timings.per_capture_ms)
+            histogram_observe("pipeline.batch_per_capture_ms", evaluation.per_capture_ms)
             for index, (capture, decision) in enumerate(zip(captures, evaluation.decisions)):
                 self._observe_decision(
                     "evaluate_batch",
@@ -403,131 +360,115 @@ class HeadTalkPipeline:
                 )
         return evaluation
 
-    def _decide(self, captures: list[Capture], check_liveness: bool) -> BatchEvaluation:
-        """The staged gate behind :meth:`evaluate` and :meth:`evaluate_batch`.
+    def _judge(
+        self,
+        capture: Capture,
+        check_liveness: bool,
+        liveness_margin: float = 0.0,
+        facing_margin: float = 0.0,
+    ) -> Decision:
+        """The gate's stage sequence on one capture, each stage timed and traced.
 
-        Each stage runs once over the captures still undecided and is
-        timed as a whole (wall clock); a decision carries each of its
-        stages' per-capture share.  A stage's per-capture tasks fan out
-        over threads and return their input trouble instead of raising
-        it; this thread turns it into fail-closed decisions and fills
-        reasons and scores in capture order.  A scored utterance is
-        correlated once, by the first stage that reads its GCC matrix
-        (liveness when the detector is fused, else orientation).
+        Validation, preprocessing, channel-health masking (fail closed
+        below two healthy channels), no speech, liveness, orientation.
+        A scored utterance is correlated once, by the first stage that
+        reads its GCC matrix (liveness when the detector is fused, else
+        orientation).  A :data:`_FEATURE_ERRORS` raised while
+        correlating or anywhere in the orientation stage fails closed,
+        as does a non-finite liveness score; whatever else a stage
+        raises (``preprocess`` and the liveness model included)
+        propagates.  The margins lower the liveness and facing
+        thresholds: final decisions take none, the streaming decider's
+        early checks take its safety bands.
         """
-        reasons: dict[int, str] = {}
-        details: dict[int, str] = {}
-
-        def fail(k: int, cause: str) -> None:
-            reasons[k], details[k] = REJECT_DEGRADED_INPUT, cause
-
-        for k, capture in enumerate(captures):
-            problem = self._capture_problem(capture)
-            if problem is not None:
-                fail(k, problem)
-        valid = [k for k in range(len(captures)) if k not in reasons]
-
-        with span("pipeline.preprocess", n=len(valid)):
+        problem = self._capture_problem(capture)
+        if problem is not None:
+            return self._degraded_decision(problem)
+        with span("pipeline.preprocess"):
             start = time.perf_counter()
-            audios = dict(zip(valid, fan_out(preprocess, [captures[k] for k in valid])))
-            preprocess_total = (time.perf_counter() - start) * 1000.0
-
-        masked: dict[int, tuple[int, ...]] = {}
-        for k in valid:
-            health = audios[k].health
-            if health is not None and health.is_degraded:
-                details[k] = _describe_health(health)
-                if len(health.healthy) < 2:
-                    fail(k, f"no-healthy-pair;{details[k]}")
-                    continue
-                masked[k] = health.healthy
-            if not audios[k].had_speech:
-                reasons[k] = REJECT_NO_SPEECH
-        speech = [k for k in valid if k not in reasons]
-
-        # Stage tasks return input trouble (_FEATURE_ERRORS) instead of
-        # raising it, so one malformed utterance fails closed alone.
-        def liveness_task(k: int):
-            gcc = None
-            if self._liveness_reads_gcc:
-                try:
-                    gcc = self.extractor.correlate(audios[k])
-                except _FEATURE_ERRORS as error:
-                    return error
-            return gcc, self._liveness_score(audios[k], gcc)
-
-        gccs: dict[int, np.ndarray] = {}
-        scores = {} if check_liveness else dict.fromkeys(speech, 1.0)
-        live = speech
-        liveness_total = 0.0
-        if check_liveness and speech:
-            with span("pipeline.liveness", n=len(speech)):
-                start = time.perf_counter()
-                live = []
-                for k, result in zip(speech, fan_out(liveness_task, speech)):
-                    if isinstance(result, Exception):
-                        fail(k, f"feature-error:{result}")
-                        continue
-                    gcc, score = result
-                    if gcc is not None:
-                        gccs[k] = gcc
-                    if not np.isfinite(score):
-                        fail(k, "non-finite-liveness-score")
-                        continue
-                    scores[k] = score
-                    if score < self.config.liveness_threshold:
-                        reasons[k] = REJECT_MECHANICAL
-                    else:
-                        live.append(k)
-                liveness_total = (time.perf_counter() - start) * 1000.0
-
-        def orientation_task(k: int):
-            try:
-                gcc = gccs[k] if k in gccs else self.extractor.correlate(audios[k])
-                return self._orientation_probability(audios[k], gcc, masked.get(k))
-            except _FEATURE_ERRORS as error:
-                return error
-
-        facing: dict[int, float] = {}
-        orientation_total = 0.0
-        if live:
-            with span("pipeline.orientation", n=len(live)):
-                start = time.perf_counter()
-                for k, result in zip(live, fan_out(orientation_task, live)):
-                    if isinstance(result, Exception):
-                        fail(k, f"feature-error:{result}")
-                        continue
-                    facing[k] = result
-                    accepted = result >= self.config.facing_threshold
-                    reasons[k] = ACCEPT if accepted else REJECT_NON_FACING
-                orientation_total = (time.perf_counter() - start) * 1000.0
-
-        preprocess_ms = preprocess_total / len(valid) if valid else 0.0
-        liveness_ms = liveness_total / len(speech) if speech else 0.0
-        orientation_ms = orientation_total / len(live) if live else 0.0
-        decisions = []
-        for k in range(len(captures)):
-            reason = reasons[k]
-            health = audios[k].health if k in audios else None
-            decisions.append(
-                Decision(
-                    accepted=reason == ACCEPT,
-                    reason=reason,
-                    liveness_score=scores.get(k, 0.0),
-                    facing_probability=facing.get(k, 0.0),
-                    liveness_ms=liveness_ms if k in speech else 0.0,
-                    orientation_ms=orientation_ms if k in live else 0.0,
-                    preprocess_ms=preprocess_ms if k in audios else 0.0,
-                    degraded=reason == REJECT_DEGRADED_INPUT
-                    or (health is not None and health.is_degraded),
-                    detail=details.get(k, ""),
-                    health=health,
-                )
-            )
-        timings = BatchStageTimings(
-            n_captures=len(captures),
-            preprocess_ms=preprocess_total,
-            liveness_ms=liveness_total,
-            orientation_ms=orientation_total,
+            audio = preprocess(capture)
+        health = audio.health
+        masked = health is not None and health.is_degraded
+        # The no-speech verdict; every later outcome is a replace() of it.
+        judged = Decision(
+            accepted=False,
+            reason=REJECT_NO_SPEECH,
+            liveness_score=0.0,
+            facing_probability=0.0,
+            liveness_ms=0.0,
+            orientation_ms=0.0,
+            preprocess_ms=_ms_since(start),
+            degraded=masked,
+            detail=_describe_health(health) if masked else "",
+            health=health,
         )
-        return BatchEvaluation(decisions=decisions, timings=timings)
+
+        def fail(cause: str, **fields) -> Decision:
+            return replace(
+                judged, reason=REJECT_DEGRADED_INPUT, degraded=True, detail=cause, **fields
+            )
+
+        if masked and len(health.healthy) < 2:
+            return fail(f"no-healthy-pair;{judged.detail}")
+        if not audio.had_speech:
+            return judged
+
+        gcc = None
+        score, liveness_ms = 1.0, 0.0
+        if check_liveness:
+            with span("pipeline.liveness"):
+                start = time.perf_counter()
+                # A fused detector gets the full multi-channel audio and
+                # its GCC matrix so the array-side cues (TDoA coherence,
+                # directivity consistency) join the blend; the plain
+                # detector sees the reference channel only.
+                if hasattr(self.liveness, "fused_scores"):
+                    try:
+                        gcc = self.extractor.correlate(audio)
+                    except _FEATURE_ERRORS as error:
+                        return fail(f"feature-error:{error}", liveness_ms=_ms_since(start))
+                    scores = self.liveness.fused_scores([audio], self.extractor, [gcc])
+                else:
+                    scores = self.liveness.scores([audio.reference], audio.sample_rate)
+                score = float(scores[0])
+                liveness_ms = _ms_since(start)
+            if not np.isfinite(score):
+                return fail("non-finite-liveness-score", liveness_ms=liveness_ms)
+            if score < self.config.liveness_threshold - liveness_margin:
+                return replace(
+                    judged, reason=REJECT_MECHANICAL, liveness_score=score, liveness_ms=liveness_ms
+                )
+
+        with span("pipeline.orientation"):
+            start = time.perf_counter()
+            try:
+                if gcc is None:
+                    gcc = self.extractor.correlate(audio)
+                if masked:
+                    features = self.extractor.extract_masked(audio, health.healthy, gcc)
+                else:
+                    features = self.extractor.extract(audio, gcc)
+                # NaN/Inf escaping the extractor must never reach the SVM.
+                if not np.all(np.isfinite(features)):
+                    raise ValueError("non-finite-features")
+                probability = float(
+                    self.orientation.facing_probability(features.reshape(1, -1))[0]
+                )
+            except _FEATURE_ERRORS as error:
+                return fail(
+                    f"feature-error:{error}",
+                    liveness_score=score,
+                    liveness_ms=liveness_ms,
+                    orientation_ms=_ms_since(start),
+                )
+            orientation_ms = _ms_since(start)
+        accepted = probability >= self.config.facing_threshold - facing_margin
+        return replace(
+            judged,
+            accepted=accepted,
+            reason=ACCEPT if accepted else REJECT_NON_FACING,
+            liveness_score=score,
+            facing_probability=probability,
+            liveness_ms=liveness_ms,
+            orientation_ms=orientation_ms,
+        )

@@ -10,11 +10,14 @@ accumulated per-frame GCC evidence
 window of the pipeline's orientation extractor).  The store holds the
 utterance's one copy of its samples: screening, the accumulator, the
 early checks and the final decision all read it.
-Once enough frames have arrived, the decider re-runs the real pipeline
-stages on the buffered *prefix* — the same preprocessing, liveness
-model and orientation extractor the batch path uses, just on a shorter
-utterance — and emits an early verdict as soon as the evidence crosses
-the decision threshold with margin, before end of utterance.
+Once enough frames have arrived, the decider judges the buffered
+*prefix* with the stage function behind ``pipeline.evaluate``
+(``HeadTalkPipeline._judge``: validation, preprocessing, health
+masking, no speech, liveness, orientation), its thresholds lowered by
+the safety margins below, and emits an early verdict as soon as the
+evidence crosses the decision threshold with margin, before end of
+utterance.  The decider maps the prefix's Decision to strike effects;
+it does not know the stage order.
 
 Each check waits for the prefix to grow by half since the last one
 (frames 4, 6, 10, 16, 24, 36, 54, …), so the scored prefixes sum to at
@@ -75,17 +78,11 @@ import numpy as np
 from ..acoustics.propagation import Capture
 from ..dsp.streaming import GccAccumulator
 from ..obs import counter_inc, histogram_observe, obs_enabled
+from ..obs.audit import ACCEPT, REJECT_DEGRADED_INPUT, REJECT_MECHANICAL, REJECT_NON_FACING
 from ..obs.correlate import correlated, correlation_id
 from ..obs.spans import span
-from .pipeline import (
-    _FEATURE_ERRORS,
-    Decision,
-    HeadTalkPipeline,
-    REJECT_DEGRADED_INPUT,
-    REJECT_MECHANICAL,
-    REJECT_NON_FACING,
-)
-from .preprocessing import preprocess, screen_channels
+from .pipeline import _FEATURE_ERRORS, Decision, HeadTalkPipeline
+from .preprocessing import screen_channels
 
 FRAME_LENGTH = 2048
 """Evidence frame in samples (~43 ms at 48 kHz)."""
@@ -122,9 +119,9 @@ class _Effect(NamedTuple):
     """A scored check's effect on each strike count.
 
     ``True`` is a strike, ``False`` a pass that resets the count, and
-    ``None`` leaves it as it was (no speech, a feature error, or the
-    facing count after a liveness strike).  ``score`` is the score a
-    strike fires with.
+    ``None`` leaves it as it was (no speech, a fail-closed prefix, or
+    the facing count after a liveness strike).  ``score`` is the score
+    a strike fires with.
     """
 
     liveness: bool | None
@@ -472,43 +469,37 @@ class StreamingDecider:
         return len(effects) >= need and all(effects[len(effects) - need :])
 
     def _score(self, n_frames: int) -> _Effect:
-        """Score the prefix of the check at ``n_frames`` against the thresholds-with-margin."""
+        """Judge the prefix of the check at ``n_frames``; map its Decision to strike effects.
+
+        The prefix goes through the gate's own stage function with each
+        threshold lowered by its safety band.  Mechanical source is a
+        liveness strike; non-facing or accepted is a liveness pass (when
+        liveness is checked) and a facing strike or pass.  A fail-closed
+        decision whose liveness score reached the lowered threshold
+        failed in orientation, after liveness passed: a liveness pass
+        only.  No speech, any other fail-closed decision, or input
+        trouble the judge raises has no effect.
+        """
         prefix = Capture(
             channels=self.buffer.prefix(n_frames * HOP_LENGTH),
             sample_rate=self.pipeline.array.sample_rate,
         )
         with span("streaming.early_check", frame=n_frames):
             try:
-                audio = preprocess(prefix)
+                decision = self.pipeline._judge(
+                    prefix, self.check_liveness, LIVENESS_MARGIN, FACING_MARGIN
+                )
             except _FEATURE_ERRORS:
                 return _NO_EFFECT
-            if not audio.had_speech:
-                return _NO_EFFECT
-            config = self.pipeline.config
-
-            # One GCC matrix per prefix, computed by the first check that
-            # reads it and shared with the other (as in the pipeline core).
-            gcc = None
-            liveness = None
-            if self.check_liveness:
-                try:
-                    if self.pipeline._liveness_reads_gcc:
-                        gcc = self.pipeline.extractor.correlate(audio)
-                    score = self.pipeline._liveness_score(audio, gcc)
-                except _FEATURE_ERRORS:
-                    return _NO_EFFECT
-                if np.isfinite(score) and score < config.liveness_threshold - LIVENESS_MARGIN:
-                    # Mirror the batch stage order: a liveness strike
-                    # short-circuits the orientation check this round.
-                    return _Effect(True, None, score)
-                liveness = False
-
-            try:
-                if gcc is None:
-                    gcc = self.pipeline.extractor.correlate(audio)
-                probability = self.pipeline._orientation_probability(audio, gcc)
-            except _FEATURE_ERRORS:
-                return _Effect(liveness, None)
-            return _Effect(
-                liveness, bool(probability < config.facing_threshold - FACING_MARGIN), probability
-            )
+        live = False if self.check_liveness else None
+        if decision.reason == REJECT_MECHANICAL:
+            return _Effect(True, None, decision.liveness_score)
+        if decision.reason in (ACCEPT, REJECT_NON_FACING):
+            return _Effect(live, decision.reason == REJECT_NON_FACING, decision.facing_probability)
+        # Every other fail-closed decision scores liveness 0.0, which
+        # reaches the lowered threshold only when no liveness score can
+        # strike, so a pass there changes no verdict.
+        lowered = self.pipeline.config.liveness_threshold - LIVENESS_MARGIN
+        if decision.reason == REJECT_DEGRADED_INPUT and decision.liveness_score >= lowered:
+            return _Effect(live, None)
+        return _NO_EFFECT

@@ -23,6 +23,13 @@ from .correlate import correlation_id
 
 DEFAULT_CAPACITY = 4096
 
+# The decision record's ``reason`` vocabulary: the gate's verdicts.
+ACCEPT = "accepted"
+REJECT_NO_SPEECH = "no-speech"
+REJECT_MECHANICAL = "mechanical-source"
+REJECT_NON_FACING = "non-facing"
+REJECT_DEGRADED_INPUT = "degraded-input"
+
 
 class AuditLog:
     """Bounded in-memory record ring with an optional JSONL file sink.

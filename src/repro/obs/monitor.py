@@ -66,7 +66,14 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .audit import audit_record
+from .audit import (
+    ACCEPT,
+    REJECT_DEGRADED_INPUT,
+    REJECT_MECHANICAL,
+    REJECT_NO_SPEECH,
+    REJECT_NON_FACING,
+    audit_record,
+)
 from .bench import (
     Comparison,
     compare_rows,
@@ -85,20 +92,12 @@ SCHEMA = "repro.obs.monitor/1"
 
 DEFAULT_QUALITY_DIR = "benchmarks/results"
 
-# Audit-record reason strings (mirrors repro.core.pipeline constants;
-# duplicated here because obs must not import core — core imports obs).
-_REASON_ACCEPT = "accepted"
-_REASON_NO_SPEECH = "no-speech"
-_REASON_MECHANICAL = "mechanical-source"
-_REASON_NON_FACING = "non-facing"
-_REASON_DEGRADED = "degraded-input"
-
 _STAGE_OF_REASON = {
-    _REASON_NO_SPEECH: "preprocess",
-    _REASON_MECHANICAL: "liveness",
-    _REASON_NON_FACING: "orientation",
-    _REASON_ACCEPT: "orientation",
-    _REASON_DEGRADED: "screening",
+    REJECT_NO_SPEECH: "preprocess",
+    REJECT_MECHANICAL: "liveness",
+    REJECT_NON_FACING: "orientation",
+    ACCEPT: "orientation",
+    REJECT_DEGRADED_INPUT: "screening",
 }
 
 
@@ -540,11 +539,11 @@ class RollingCalibration:
 
 
 def _liveness_ran(record: dict) -> bool:
-    return record.get("reason") == _REASON_MECHANICAL or record.get("liveness_ms", 0) > 0
+    return record.get("reason") == REJECT_MECHANICAL or record.get("liveness_ms", 0) > 0
 
 
 def _orientation_ran(record: dict) -> bool:
-    return record.get("reason") in (_REASON_ACCEPT, _REASON_NON_FACING)
+    return record.get("reason") in (ACCEPT, REJECT_NON_FACING)
 
 
 class DecisionMonitor:

@@ -13,13 +13,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .audit import audit_record
+from .audit import REJECT_DEGRADED_INPUT, audit_record
 from .control import env_float, obs_enabled
 from .metrics import WindowedCounter, counter_inc
-
-# The fail-closed reason string (mirrors repro.core.pipeline's
-# REJECT_DEGRADED_INPUT; obs must not import core — core imports obs).
-_REASON_DEGRADED = "degraded-input"
 
 DEFAULT_SLO_LATENCY_MS = 1000.0
 """Default p95 decision-latency SLO threshold (``REPRO_LIVE_SLO_P95_MS``)."""
@@ -184,7 +180,11 @@ class SloMonitor:
         with self._lock:
             for tracker in self.trackers.values():
                 threshold = tracker.rule.threshold_ms
-                bad = wall_ms > threshold if threshold is not None else reason == _REASON_DEGRADED
+                bad = (
+                    wall_ms > threshold
+                    if threshold is not None
+                    else reason == REJECT_DEGRADED_INPUT
+                )
                 alarm = tracker.observe(bad)
                 if alarm is not None:
                     raised.append(alarm)

@@ -11,7 +11,9 @@ for a forked child to inherit.
 The per-capture work of a render (image-source RIRs, convolution FFTs)
 and of a decision (band-pass, GCC, STFT, model scoring) spends most of
 its time in numpy/scipy kernels that release the GIL, so the captures
-of one batch run side by side.  Splitting one capture's decision across
+of one batch run side by side.  A batch decision is one map per call,
+each task judging one capture through every stage
+(``HeadTalkPipeline._judge``).  Splitting one capture's decision across
 threads measured no faster and cost more CPU per decision; fan out
 across captures, not inside one.
 

@@ -114,7 +114,6 @@ class DeviceSession:
             with correlated(self.utterance_id):
                 early = self.decider.push(chunk)
             if early is not None:
-                counter_inc("serving.early_exits", reason=early.reason)
                 return {
                     "event": "early",
                     "session": self.session_id,
@@ -182,8 +181,6 @@ class DeviceSession:
                 "wall_ms": wall_ms,
             }
             histogram_observe("serving.decision_ms", wall_ms)
-            if result is not None:
-                histogram_observe("serving.frames_to_decision", result.frames_to_decision)
             counter_inc("serving.utterances", kind=event.kind.value)
             windowed_inc("serving.rps")
             slo_observe_decision(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as core_pipeline
 import repro.core.streaming as core_streaming
 import repro.dsp.streaming as dsp_streaming
 from repro.acoustics import Capture
@@ -20,6 +21,7 @@ from repro.core import (
     REJECT_DEGRADED_INPUT,
     REJECT_MECHANICAL,
     REJECT_NON_FACING,
+    HeadTalkPipeline,
     StreamingDecider,
 )
 from repro.core.preprocessing import preprocess
@@ -59,15 +61,20 @@ def _stream(decider, channels, chunk=CHUNK):
 
 
 def _record_prefixes(monkeypatch):
-    """Rebind the decider's ``preprocess`` to record each scored prefix's length."""
+    """Hook the pipeline's judge to record each scored prefix's length.
+
+    Early checks judge their prefix with lowered thresholds; the final
+    ``evaluate`` judges without margins and is not recorded.
+    """
     prefixes = []
-    real = core_streaming.preprocess
+    real = HeadTalkPipeline._judge
 
-    def recording(capture, *args, **kwargs):
-        prefixes.append(capture.channels.shape[1])
-        return real(capture, *args, **kwargs)
+    def recording(self, capture, check_liveness, *margins):
+        if margins:
+            prefixes.append(capture.channels.shape[1])
+        return real(self, capture, check_liveness, *margins)
 
-    monkeypatch.setattr(core_streaming, "preprocess", recording)
+    monkeypatch.setattr(HeadTalkPipeline, "_judge", recording)
     return prefixes
 
 
@@ -99,7 +106,8 @@ def _reference(checks, outcome, check_liveness, config, min_samples=0):
     ``checks`` lists each check taken as ``(frame, srp_lag)``;
     ``outcome(frame)`` gives its prefix's ``(speech, liveness, facing)``:
     whether it had speech, its liveness score and its facing
-    probability, each ``ERROR`` where that stage raised.  Every check
+    probability, each ``ERROR`` where that stage raised.  A non-finite
+    liveness score, like an error, leaves both counts.  Every check
     past the stability gate is scored when it is taken.  Returns the
     early verdict ``(reason, frame, score)`` or ``None``, the number of
     checks taken and the frames scored.
@@ -116,9 +124,9 @@ def _reference(checks, outcome, check_liveness, config, min_samples=0):
         if speech is ERROR or not speech:
             continue
         if check_liveness:
-            if liveness is ERROR:
+            if liveness is ERROR or not np.isfinite(liveness):
                 continue
-            if np.isfinite(liveness) and liveness < config.liveness_threshold - LIVENESS_MARGIN:
+            if liveness < config.liveness_threshold - LIVENESS_MARGIN:
                 liveness_strikes += 1
                 if liveness_strikes >= CONSECUTIVE:
                     return (REJECT_MECHANICAL, frame, liveness), taken, scored
@@ -140,24 +148,38 @@ def _verdict(early):
 
 
 class _ScriptedGate:
-    """A stand-in pipeline and accumulator that replay scripted checks.
+    """A real pipeline whose stages replay scripted checks, and a stand-in accumulator.
 
     Check ``i``, in the order taken, reads ``lags[i]`` as the SRP peak
     lag and, if its prefix is scored, ``outcomes[i]`` as the
-    ``(speech, liveness, facing)`` of :func:`_reference`.
+    ``(speech, liveness, facing)`` of :func:`_reference`.  The pipeline
+    is a :class:`HeadTalkPipeline` at the default 0.5 thresholds: its
+    :meth:`preprocess` (rebound in :mod:`repro.core.pipeline`) and its
+    liveness and orientation models replay the script, so the real
+    judge and the decider's real effect mapping run on it.
     """
-
-    array = SimpleNamespace(n_mics=4, sample_rate=FS)
-    config = SimpleNamespace(liveness_threshold=0.5, facing_threshold=0.5)
-    _liveness_reads_gcc = False
 
     def __init__(self, lags, outcomes):
         self.lags, self.outcomes = lags, outcomes
-        self.extractor = SimpleNamespace(
-            pairs=[(0, 1)], max_lag=4, min_samples=0, correlate=lambda audio: None
-        )
         self.decider = None
         self.frames, self.scored = [], []
+        extractor = SimpleNamespace(
+            pairs=[(0, 1)],
+            max_lag=4,
+            min_samples=0,
+            correlate=lambda audio: None,
+            extract=lambda audio, gcc: np.array([audio.frame]),
+        )
+        self.pipeline = HeadTalkPipeline(
+            array=SimpleNamespace(n_mics=4, sample_rate=FS),
+            liveness=SimpleNamespace(
+                scores=lambda references, sample_rate: [self._stage(references[0], 1)]
+            ),
+            orientation=SimpleNamespace(
+                facing_probability=lambda features: [self._stage(features[0, 0], 2)]
+            ),
+            extractor=extractor,
+        )
 
     def push(self, samples):
         return 0
@@ -174,29 +196,33 @@ class _ScriptedGate:
         self.scored.append(frame)
         if self.outcome(frame)[0] is ERROR:
             raise ValueError("scripted preprocess error")
-        return SimpleNamespace(frame=frame, had_speech=self.outcome(frame)[0])
+        return SimpleNamespace(
+            frame=frame,
+            had_speech=self.outcome(frame)[0],
+            health=None,
+            reference=frame,
+            sample_rate=FS,
+        )
 
-    def _liveness_score(self, audio, gcc):
-        return self._stage(audio, 1)
-
-    def _orientation_probability(self, audio, gcc):
-        return self._stage(audio, 2)
-
-    def _stage(self, audio, index):
-        value = self.outcome(audio.frame)[index]
+    def _stage(self, frame, index):
+        value = self.outcome(int(frame))[index]
         if value is ERROR:
             raise ValueError("scripted stage error")
         return value
 
 
 def _real_outcome(pipeline, channels):
-    """A prefix's ``(speech, liveness, facing)`` through the pipeline's own stages."""
+    """A prefix's ``(speech, liveness, facing)`` through the pipeline's own models."""
     audio = preprocess(Capture(channels=channels, sample_rate=FS))
     if not audio.had_speech:
         return False, ERROR, ERROR
     gcc = pipeline.extractor.correlate(audio)
-    liveness = pipeline._liveness_score(audio, gcc if pipeline._liveness_reads_gcc else None)
-    return True, liveness, pipeline._orientation_probability(audio, gcc)
+    if hasattr(pipeline.liveness, "fused_scores"):
+        liveness = pipeline.liveness.fused_scores([audio], pipeline.extractor, [gcc])[0]
+    else:
+        liveness = pipeline.liveness.scores([audio.reference], audio.sample_rate)[0]
+    features = pipeline.extractor.extract(audio, gcc).reshape(1, -1)
+    return True, float(liveness), float(pipeline.orientation.facing_probability(features)[0])
 
 
 def _count_frame_gcc(monkeypatch):
@@ -336,6 +362,16 @@ class TestLazyScoring:
         script=[(0, (True, 0.1, 0.9)), (0, (True, 0.9, ERROR)), (0, (True, 0.1, 0.9))],
         check_liveness=True,
     )
+    # A non-finite liveness score fails the prefix closed: it leaves both
+    # counts, so the strikes around it fire.
+    @example(
+        script=[(0, (True, 0.1, 0.9)), (0, (True, float("nan"), 0.9)), (0, (True, 0.1, 0.9))],
+        check_liveness=True,
+    )
+    @example(
+        script=[(0, (True, 0.9, 0.1)), (0, (True, float("nan"), 0.9)), (0, (True, 0.9, 0.1))],
+        check_liveness=True,
+    )
     # An unstable check between two facing strikes is not recorded.
     @example(
         script=[(0, FACING_STRIKE), (1, FACING_STRIKE), (1, FACING_STRIKE)],
@@ -345,16 +381,16 @@ class TestLazyScoring:
         lags = [lag for lag, _ in script]
         gate = _ScriptedGate(lags, [outcome for _, outcome in script])
         decider = StreamingDecider(
-            gate, buffer=RingBuffer(4, 100 * HOP_LENGTH), check_liveness=check_liveness
+            gate.pipeline, buffer=RingBuffer(4, 100 * HOP_LENGTH), check_liveness=check_liveness
         )
         gate.decider = decider
         decider.accumulator = gate
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core_streaming, "preprocess", gate.preprocess)
+            patch.setattr(core_pipeline, "preprocess", gate.preprocess)
             while decider.early is None and decider.checks < len(script):
                 decider.push(np.zeros((4, HOP_LENGTH)))
         early, taken, scored = _reference(
-            list(zip(gate.frames, lags)), gate.outcome, check_liveness, gate.config
+            list(zip(gate.frames, lags)), gate.outcome, check_liveness, gate.pipeline.config
         )
         assert _verdict(decider.early) == early
         assert decider.checks == taken
@@ -387,6 +423,33 @@ class TestLazyScoring:
             assert _verdict(decider.early) == early, chunk
             assert decider.checks == taken, chunk
             assert {n // HOP_LENGTH for n in prefixes} <= set(scored), chunk
+
+
+class TestPrefixJudge:
+    """An early check judges its prefix the way ``evaluate`` judges it."""
+
+    @pytest.mark.parametrize("check_liveness", [True, False])
+    def test_a_check_masks_the_channel_its_prefix_screens_out(
+        self, pipeline, forward_capture, check_liveness
+    ):
+        # The loudest channel saturates from frame 2: the first check's
+        # 4-frame prefix screens it as clipped while only two of the
+        # three frame votes that drop a channel have been cast.
+        channels = forward_capture.channels.copy()
+        loudest = int(np.argmax(np.sqrt(np.mean(np.square(channels), axis=1))))
+        peak = np.abs(channels).max()
+        tail = channels[loudest, 2 * HOP_LENGTH :]
+        channels[loudest, 2 * HOP_LENGTH :] = np.clip(50.0 * tail, -peak, peak)
+        decider = _decider(pipeline, check_liveness)
+        for start in range(0, 4 * HOP_LENGTH, CHUNK):
+            decider.push(channels[:, start : start + CHUNK])
+        assert decider.checks == 1 and not decider.degraded
+        prefix = Capture(channels=channels[:, : 4 * HOP_LENGTH], sample_rate=FS)
+        masked = pipeline.evaluate(prefix, check_liveness=False)
+        assert masked.health.clipped == (loudest,)
+        (effect,) = decider._effects
+        assert effect.facing is not None
+        assert effect.score == masked.facing_probability
 
 
 class TestStreamingCost:
